@@ -1,0 +1,61 @@
+"""Pinned outputs: the emitted CSV and solution documents of fixed runs.
+
+The byte-stability tests elsewhere compare two runs of the same code;
+these compare against files written by an earlier version, so a refactor
+that drifts a float or flips a decision shows up here. To re-pin after a
+deliberate change of results, run `PYTHONPATH=src python tests/test_golden.py`
+from the repository root and commit the rewritten files under tests/data/.
+"""
+import hashlib
+import json
+from pathlib import Path
+
+from helpers import tiny_scenario
+from vrcgsim.metrics import METHODS, emit, run_experiment, solutions_to_doc
+from vrcgsim.scenario import generate_synthetic
+
+DATA = Path(__file__).parent / "data"
+NON_ORACLE = [m for m in METHODS if not m.startswith("oracle_")]
+
+
+def _digest(sc, solutions) -> str:
+    doc = json.dumps(solutions_to_doc(sc, solutions), sort_keys=True)
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
+def _city():
+    sc = generate_synthetic(seed=21, n_users=60, n_bs=4, n_cns=6)
+    reports, sols = run_experiment(sc, NON_ORACLE, timesteps=2,
+                                   collect_solutions=True)
+    return {"golden_city.csv": emit(reports, "csv"),
+            "golden_city.sha256": _digest(sc, sols) + "\n"}
+
+
+def _tiny():
+    sc = tiny_scenario(seed=0)
+    reports, sols = run_experiment(sc, METHODS, timesteps=1,
+                                   collect_solutions=True)
+    return {"golden_tiny.csv": emit(reports, "csv"),
+            "golden_tiny.sha256": _digest(sc, sols) + "\n"}
+
+
+def _check(outputs: dict[str, str]):
+    for name, text in outputs.items():
+        assert text == (DATA / name).read_text(), f"{name} differs from the pinned output"
+
+
+def test_city_run_matches_pinned_output():
+    """60 users, 4 cells, 6 nodes: every non-oracle method over 2 steps."""
+    _check(_city())
+
+
+def test_tiny_run_matches_pinned_output():
+    """An oracle-sized city through all thirteen methods."""
+    _check(_tiny())
+
+
+if __name__ == "__main__":
+    DATA.mkdir(exist_ok=True)
+    for outputs in (_city(), _tiny()):
+        for name, text in outputs.items():
+            (DATA / name).write_text(text)
