@@ -9,11 +9,11 @@ zeroed during emission by default so equal runs emit equal bytes.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import statistics
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import oracle as oracle_mod
@@ -46,12 +46,6 @@ from .stage3 import (
     qoe_stage3,
     verify_stage3,
 )
-
-STAGE1_METHODS = ("vexa", "sa", "dc", "oracle_stage1")
-STAGE2_METHODS = ("gepar", "single_path", "unconstrained", "oracle_stage2")
-STAGE3_METHODS = ("amps", "mtpsched", "rr", "pf", "oracle_stage3")
-METHODS = STAGE1_METHODS + STAGE2_METHODS + STAGE3_METHODS
-
 
 @dataclass(frozen=True)
 class MethodMetrics:
@@ -117,7 +111,7 @@ def _pool_size(sc: Scenario) -> int:
     return sum(grant_pool(b, sc.radio) for b in sc.base_stations)
 
 
-def _stage1_metrics(sc: Scenario, sol: Stage1Solution, dt: float) -> MethodMetrics:
+def _stage1_row(sc: Scenario, stage1, sol: Stage1Solution, prev, dt: float) -> MethodMetrics:
     per_user = [qoe_stage1(sc, sol, uid) for uid in sorted(sol.admitted)]
     total = sum(per_user)
     return MethodMetrics(
@@ -130,13 +124,7 @@ def _stage1_metrics(sc: Scenario, sol: Stage1Solution, dt: float) -> MethodMetri
     )
 
 
-def _stage2_metrics(
-    sc: Scenario,
-    stage1: Stage1Solution,
-    sol: Stage2Solution,
-    prev: dict[str, str] | None,
-    dt: float,
-) -> MethodMetrics:
+def _stage2_row(sc: Scenario, stage1, sol: Stage2Solution, prev, dt: float) -> MethodMetrics:
     cost = total_cost(sol, sc, stage1, prev_placement=prev)
     return MethodMetrics(
         fixed_cost=cost.fixed,
@@ -148,9 +136,7 @@ def _stage2_metrics(
     )
 
 
-def _scene_qoe_metrics(
-    sc: Scenario, stage1: Stage1Solution, resolutions, dt: float
-) -> dict:
+def _scene_fields(sc: Scenario, stage1: Stage1Solution, resolutions) -> dict:
     per_user = [
         qoe_stage3(sc, stage1, resolutions, uid) for uid in sorted(stage1.admitted)
     ]
@@ -159,103 +145,101 @@ def _scene_qoe_metrics(
         "total_qoe": total,
         "avg_qoe": total / len(sc.users) if sc.users else 0.0,
         "jain_index": jain_index(per_user),
-        "solve_time_s": dt,
     }
 
 
-def _schedule_usage(sc: Scenario, sol: Stage3Solution) -> float:
-    assigned = sum(n for entries in sol.schedule.values() for _, n in entries)
-    return assigned / _pool_size(sc)
-
-
-def _mean_mtp(sc: Scenario, stage1: Stage1Solution, sol: Stage3Solution) -> float | None:
+def _schedule_fields(sc: Scenario, stage1: Stage1Solution, sol: Stage3Solution) -> dict:
     report = mtp_latency(sol, sc, stage1)
-    if not report.average_s:
-        return None
-    return statistics.mean(report.average_s.values())
+    assigned = sum(n for entries in sol.schedule.values() for _, n in entries)
+    return {
+        "avg_mtp_s": (
+            statistics.mean(report.average_s.values()) if report.average_s else None
+        ),
+        "prb_usage_fraction": assigned / _pool_size(sc),
+    }
+
+
+def _scene_row(sc, stage1, resolutions, prev, dt) -> MethodMetrics:
+    return MethodMetrics(**_scene_fields(sc, stage1, resolutions), solve_time_s=dt)
+
+
+def _schedule_row(sc, stage1, sol, prev, dt) -> MethodMetrics:
+    return MethodMetrics(**_schedule_fields(sc, stage1, sol), solve_time_s=dt)
+
+
+def _refined_row(sc, stage1, sol, prev, dt) -> MethodMetrics:
+    return MethodMetrics(
+        **_scene_fields(sc, stage1, sol.object_resolution),
+        **_schedule_fields(sc, stage1, sol),
+        solve_time_s=dt,
+    )
+
+
+# ---------------------------------------------------------------------------
+# The method table
+
+
+@dataclass(frozen=True)
+class _Method:
+    """One method: its stage, solver, metrics row and counted violations.
+
+    solve(scenario, stage1, previous placement) returns the solution and
+    row(scenario, stage1, solution, previous placement, solve time) its
+    metrics. counted lists the violation kinds that count against the
+    method; None counts every kind and () skips the verifier.
+    """
+
+    stage: int
+    solve: Callable
+    row: Callable
+    counted: tuple[str, ...] | None = None
+
+
+# The solvers are looked up by name when a lambda runs, so replacing one
+# on this module (as a test or tracer does) takes effect.
+_METHODS = {
+    "vexa": _Method(1, lambda sc, s1, prev: s1, _stage1_row),  # solved for the pipeline
+    "sa": _Method(1, lambda sc, s1, prev: baseline_single_association(sc), _stage1_row),
+    "dc": _Method(1, lambda sc, s1, prev: baseline_dual_connectivity(sc), _stage1_row),
+    "oracle_stage1": _Method(1, lambda sc, s1, prev: oracle_mod.exact_stage1(sc)[0], _stage1_row),
+    "gepar": _Method(2, lambda sc, s1, prev: gepar(sc, s1, prev), _stage2_row),
+    "single_path": _Method(2, lambda sc, s1, prev: baseline_single_path(sc, s1, prev), _stage2_row),
+    # this baseline prices violations instead of forbidding them; only
+    # structural problems count against it
+    "unconstrained": _Method(
+        2, lambda sc, s1, prev: baseline_unconstrained(sc, s1, prev), _stage2_row,
+        counted=("placement", "routing"),
+    ),
+    "oracle_stage2": _Method(2, lambda sc, s1, prev: oracle_mod.exact_stage2(sc, s1)[0], _stage2_row),
+    "amps": _Method(3, lambda sc, s1, prev: amps(sc, s1), _refined_row),
+    "mtpsched": _Method(3, lambda sc, s1, prev: mtpsched(sc, s1), _schedule_row),
+    # cyclic schedulers ignore grant totals and groups by definition, and
+    # the exhaustive refinement returns resolutions only: none is verified
+    "rr": _Method(3, lambda sc, s1, prev: baseline_round_robin(sc, s1), _schedule_row, ()),
+    "pf": _Method(3, lambda sc, s1, prev: baseline_proportional_fair(sc, s1), _schedule_row, ()),
+    "oracle_stage3": _Method(3, lambda sc, s1, prev: oracle_mod.exact_stage3(sc, s1)[0], _scene_row, ()),
+}
+METHODS = tuple(_METHODS)
+
+
+def _violations(name: str, sol, sc: Scenario, stage1) -> list[Violation]:
+    """What the stage verifier finds in sol that counts against `name`."""
+    counted = _METHODS[name].counted if name in _METHODS else None
+    if counted == ():
+        return []
+    if isinstance(sol, Stage1Solution):
+        found = verify_stage1(sol, sc)
+    else:
+        stage = 2 if isinstance(sol, Stage2Solution) else 3
+        if stage1 is None:
+            raise ValueError(f"stage-{stage} solutions need the stage1 entry")
+        verify = verify_stage2 if stage == 2 else verify_stage3
+        found = verify(sol, sc, stage1)
+    return found if counted is None else [v for v in found if v.kind in counted]
 
 
 # ---------------------------------------------------------------------------
 # The experiment loop
-
-
-def _solve_row(
-    sc: Scenario,
-    method: str,
-    stage1: Stage1Solution,
-    prev: dict[str, str] | None,
-) -> tuple[MethodMetrics, object, list[Violation]]:
-    """One method on one snapshot: metrics, raw solution, violations."""
-    t0 = time.perf_counter()
-    if method in STAGE1_METHODS:
-        if method == "vexa":
-            sol = stage1  # already solved for the pipeline
-        elif method == "sa":
-            sol = baseline_single_association(sc)
-        elif method == "dc":
-            sol = baseline_dual_connectivity(sc)
-        else:
-            sol, _ = oracle_mod.exact_stage1(sc)
-        dt = time.perf_counter() - t0
-        return _stage1_metrics(sc, sol, dt), sol, verify_stage1(sol, sc)
-
-    if method in STAGE2_METHODS:
-        if method == "gepar":
-            sol = gepar(sc, stage1, prev_placement=prev)
-        elif method == "single_path":
-            sol = baseline_single_path(sc, stage1, prev_placement=prev)
-        elif method == "unconstrained":
-            sol = baseline_unconstrained(sc, stage1, prev_placement=prev)
-        else:
-            sol, _ = oracle_mod.exact_stage2(sc, stage1)
-        dt = time.perf_counter() - t0
-        violations = verify_stage2(sol, sc, stage1)
-        if method == "unconstrained":
-            # this baseline prices violations instead of forbidding them;
-            # only structural problems count against it
-            violations = [v for v in violations if v.kind in ("placement", "routing")]
-        return _stage2_metrics(sc, stage1, sol, prev, dt), sol, violations
-
-    if method == "amps":
-        sol = amps(sc, stage1)
-        dt = time.perf_counter() - t0
-        base = _scene_qoe_metrics(sc, stage1, sol.object_resolution, dt)
-        row = MethodMetrics(
-            **base,
-            avg_mtp_s=_mean_mtp(sc, stage1, sol),
-            prb_usage_fraction=_schedule_usage(sc, sol),
-        )
-        return row, sol, verify_stage3(sol, sc, stage1)
-    if method == "mtpsched":
-        sol = mtpsched(sc, stage1)
-        dt = time.perf_counter() - t0
-        row = MethodMetrics(
-            avg_mtp_s=_mean_mtp(sc, stage1, sol),
-            prb_usage_fraction=_schedule_usage(sc, sol),
-            solve_time_s=dt,
-        )
-        return row, sol, verify_stage3(sol, sc, stage1)
-    if method in ("rr", "pf"):
-        solver = baseline_round_robin if method == "rr" else baseline_proportional_fair
-        sol = solver(sc, stage1)
-        dt = time.perf_counter() - t0
-        row = MethodMetrics(
-            avg_mtp_s=_mean_mtp(sc, stage1, sol),
-            prb_usage_fraction=_schedule_usage(sc, sol),
-            solve_time_s=dt,
-        )
-        # cyclic schedulers ignore grant totals and groups by definition,
-        # so the stage-3 verifier does not apply to them
-        return row, sol, []
-    if method == "oracle_stage3":
-        resolutions, _ = oracle_mod.exact_stage3(sc, stage1)
-        dt = time.perf_counter() - t0
-        return (
-            MethodMetrics(**_scene_qoe_metrics(sc, stage1, resolutions, dt)),
-            resolutions,
-            [],
-        )
-    raise ValueError(f"unknown method {method!r}")
 
 
 def run_experiment(
@@ -283,7 +267,7 @@ def run_experiment(
         raise ValueError("timesteps must be at least 1")
 
     reports: list[MetricsReport] = []
-    prev: dict[str, dict[str, str] | None] = {m: None for m in STAGE2_METHODS}
+    prev: dict[str, dict[str, str]] = {}
     world = sc
     solutions: dict[str, object] = {}
     needs_stage1 = any(m != "oracle_stage1" for m in methods)
@@ -296,12 +280,15 @@ def run_experiment(
         rows: dict[str, MethodMetrics] = {}
         solutions = {"stage1": stage1} if needs_stage1 else {}
         for m in methods:
-            row, sol, violations = _solve_row(world, m, stage1, prev.get(m))
-            if m == "vexa":
-                row = dataclasses.replace(row, solve_time_s=vexa_dt)
+            spec = _METHODS[m]
+            t0 = time.perf_counter()
+            sol = spec.solve(world, stage1, prev.get(m))
+            dt = vexa_dt if m == "vexa" else time.perf_counter() - t0
+            row = spec.row(world, stage1, sol, prev.get(m), dt)
+            violations = _violations(m, sol, world, stage1)
             if violations:
                 raise ExperimentAbort(t, m, violations, reports)
-            if m in STAGE2_METHODS:
+            if spec.stage == 2:
                 prev[m] = dict(sol.placement)
             rows[m] = row
             solutions[m] = sol
@@ -488,23 +475,4 @@ def verify_document(sc: Scenario, doc: dict) -> dict[str, list[Violation]]:
     """
     sols = doc_to_solutions(doc)
     stage1 = sols.get("stage1")
-    findings: dict[str, list[Violation]] = {}
-    for name, sol in sols.items():
-        if name in ("rr", "pf"):
-            findings[name] = []
-        elif isinstance(sol, Stage1Solution):
-            findings[name] = verify_stage1(sol, sc)
-        elif isinstance(sol, Stage2Solution):
-            if stage1 is None:
-                raise ValueError("stage-2 solutions need the stage1 entry")
-            violations = verify_stage2(sol, sc, stage1)
-            if name == "unconstrained":
-                violations = [
-                    v for v in violations if v.kind in ("placement", "routing")
-                ]
-            findings[name] = violations
-        else:
-            if stage1 is None:
-                raise ValueError("stage-3 solutions need the stage1 entry")
-            findings[name] = verify_stage3(sol, sc, stage1)
-    return findings
+    return {name: _violations(name, sol, sc, stage1) for name, sol in sols.items()}

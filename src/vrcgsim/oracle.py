@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .radio import frame_bits, link_tables, routing_latency_s, traffic_load_bps
+from .radio import fixed_latency_s, frame_bits, link_tables, traffic_load_bps
 from .scenario import Scenario, distance, pixels
 from .stage1 import Stage1Solution, grant_pool, verify_stage1
 from .stage2 import (
@@ -81,8 +81,6 @@ def exact_stage1(
     """
     n = sc.radio.max_connections
     lt = link_tables(sc)
-    uidx = {u.id: i for i, u in enumerate(sc.users)}
-    bidx = {b.id: j for j, b in enumerate(sc.base_stations)}
 
     # per-user option list: (encoding, bids, res, fps) with None (unadmitted) last
     options: list[list[tuple | None]] = []
@@ -92,14 +90,14 @@ def exact_stage1(
             b.id
             for b in sc.base_stations
             if distance(u.position, b.position) <= b.coverage_radius_m
-            and lt.se_bps[uidx[u.id], bidx[b.id]] > 0
+            and lt.se_of(u.id, b.id) > 0
         ]
         opts: list[tuple | None] = []
         for k in range(1, min(n, len(covering)) + 1):
             for combo in itertools.combinations(covering, k):
                 for ri, res in enumerate(hs.resolutions):
                     for fi, fps in enumerate(hs.frame_rates):
-                        enc = (0, tuple(bidx[b] for b in combo), ri, fi)
+                        enc = (0, tuple(lt.bs_index[b] for b in combo), ri, fi)
                         opts.append((enc, combo, res, fps))
         opts.sort(key=lambda t: t[0])
         opts.append(None)
@@ -111,24 +109,16 @@ def exact_stage1(
     _check_dimensions(sc, bounds, estimate)
 
     pool = {b.id: grant_pool(b, sc.radio) for b in sc.base_stations}
-    routing = {b.id: routing_latency_s(sc, b) for b in sc.base_stations}
-    rspeed = {b.id: sc.cn(b.nearest_cn).render_speed_pps for b in sc.base_stations}
 
     def min_grants(uid: str, bid: str, share: float, res, fps, arrivals_b: float):
         """Smallest grant count meeting load, group coverage and deadline."""
         bs = sc.bs(bid)
-        se = float(lt.se_bps[uidx[uid], bidx[bid]])
+        se = lt.se_of(uid, bid)
         slack = bs.frame_capacity_fps - arrivals_b
         if slack <= 0:
             return None
         bits = frame_bits(sc, res)
-        fixed = (
-            routing[bid]
-            + pixels(res) * fps / rspeed[bid]
-            + distance(sc.user(uid).position, bs.position) / sc.radio.speed_of_light_mps
-            + bits / bs.processing_capacity_bps
-            + 1.0 / slack
-        )
+        fixed = fixed_latency_s(sc, sc.user(uid), bs, res, fps) + 1.0 / slack
         budget = sc.radio.deadline_for(fps) - fixed
         if budget <= 0:
             return None

@@ -1,10 +1,15 @@
 """Radio link model: path loss, SINR, throughput and the end-to-end latency budget.
 
 The access link follows the urban street-canyon model at sub-6 GHz with a
-distance threshold separating line-of-sight from non-line-of-sight. Latency
-is decomposed into six parts (crosshaul routing, rendering, propagation,
-transmission, frame processing, queueing) and a frame misses its deadline
-when the sum for some serving base station exceeds the frame period.
+distance threshold separating line-of-sight from non-line-of-sight. The
+link tables (SINR and one-PRB rate of every user/cell pair) are built once
+per scenario instance and kept with it; step_positions makes a new
+instance, so every timestep gets its own tables. Latency is decomposed
+into six parts (crosshaul routing, rendering, propagation, transmission,
+frame processing, queueing) and a frame misses its deadline when the sum
+for some serving base station exceeds the frame period. The first four
+parts are fixed by the stream and the serving cell (fixed_latency_s);
+each caller adds its own air-time and queueing terms.
 """
 from __future__ import annotations
 
@@ -16,83 +21,30 @@ import numpy as np
 from .scenario import BaseStation, Scenario, User, distance, pixels
 
 
-def path_loss_db(distance_m: float, carrier_ghz: float, los_threshold_m: float,
-                 user_height_m: float = 1.5) -> float:
-    """Street-canyon path loss in dB; LoS below the threshold distance."""
-    d = max(distance_m, 1.0)  # clamp: the model is not defined at zero range
-    if distance_m <= los_threshold_m:
-        return 32.4 + 21.0 * math.log10(d) + 20.0 * math.log10(carrier_ghz)
-    return (
-        35.3 + 22.4 * math.log10(d)
-        + 21.3 * math.log10(carrier_ghz)
-        - 0.3 * (user_height_m - 1.5)
-    )
-
-
-def _dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    rx_power_w: float
-    interference_w: float
-    noise_w: float
-
-    @property
-    def sinr(self) -> float:
-        return self.rx_power_w / (self.interference_w + self.noise_w)
-
-
-def link_budget(sc: Scenario, user: User, bs: BaseStation) -> LinkBudget:
-    """Received power and co-channel interference for one user-BS link.
-
-    Interference sums received power from every other base station on the
-    same channel; the noise floor is taken over one PRB of bandwidth.
-    """
-    r = sc.radio
-
-    def rx_from(b: BaseStation) -> float:
-        pl = path_loss_db(
-            distance(user.position, b.position), r.carrier_ghz, r.los_threshold_m, user.height_m
-        )
-        return _dbm_to_watts(b.tx_power_dbm - pl)
-
-    interference = sum(
-        rx_from(b) for b in sc.base_stations if b.id != bs.id and b.channel_id == bs.channel_id
-    )
-    noise = _dbm_to_watts(r.noise_density_dbm_hz) * bs.prb_bandwidth_hz
-    return LinkBudget(rx_power_w=rx_from(bs), interference_w=interference, noise_w=noise)
-
-
-def sinr(sc: Scenario, user: User, bs: BaseStation) -> float:
-    return link_budget(sc, user, bs).sinr
-
-
-def spectral_efficiency(sc: Scenario, user: User, bs: BaseStation) -> float:
-    """Shannon rate of one PRB, bits/s."""
-    return bs.prb_bandwidth_hz * math.log2(1.0 + sinr(sc, user, bs))
-
-
-def throughput_bps(sc: Scenario, user: User, bs: BaseStation, prbs: int) -> float:
-    return prbs * spectral_efficiency(sc, user, bs)
-
-
 @dataclass(frozen=True)
 class LinkTables:
     """SINR and one-PRB rate for every user/BS pair, computed in one pass."""
 
-    user_ids: tuple[str, ...]
-    bs_ids: tuple[str, ...]
+    user_index: dict[str, int]  # user id -> row
+    bs_index: dict[str, int]  # base station id -> column
     sinr: np.ndarray  # [user, bs]
     se_bps: np.ndarray  # [user, bs], bits/s of a single PRB
 
     def se_of(self, uid: str, bid: str) -> float:
-        return float(self.se_bps[self.user_ids.index(uid), self.bs_ids.index(bid)])
+        return float(self.se_bps[self.user_index[uid], self.bs_index[bid]])
 
 
 def link_tables(sc: Scenario) -> LinkTables:
-    """Vectorized link_budget over all pairs; agrees with the scalar path."""
+    """Link budget of every user/BS pair, built once per scenario instance.
+
+    Street-canyon path loss (clamped below one metre), interference from
+    every other base station on the same channel and a noise floor over
+    one PRB of bandwidth; the Shannon rate of one PRB follows from the
+    SINR. The tables are cached on the scenario and read-only.
+    """
+    cached = sc._lookup.get("links")
+    if cached is not None:
+        return cached
     up = np.array([u.position for u in sc.users], dtype=float).reshape(-1, 2)
     bp = np.array([b.position for b in sc.base_stations], dtype=float).reshape(-1, 2)
     d = np.hypot(up[:, None, 0] - bp[None, :, 0], up[:, None, 1] - bp[None, :, 1])
@@ -115,12 +67,15 @@ def link_tables(sc: Scenario) -> LinkTables:
     interference = rx @ same - rx
     sinr_m = rx / (interference + noise)
     se = bw * np.log2(1.0 + sinr_m)
-    return LinkTables(
-        user_ids=tuple(u.id for u in sc.users),
-        bs_ids=tuple(b.id for b in sc.base_stations),
+    sinr_m.flags.writeable = se.flags.writeable = False
+    tables = LinkTables(
+        user_index={u.id: i for i, u in enumerate(sc.users)},
+        bs_index={b.id: j for j, b in enumerate(sc.base_stations)},
         sinr=sinr_m,
         se_bps=se,
     )
+    sc._lookup["links"] = tables
+    return tables
 
 
 def traffic_load_bps(
@@ -171,6 +126,34 @@ def render_latency_s(sc: Scenario, resolution: tuple[int, int], fps: float, cn_i
     return pixels(resolution) * fps / sc.cn(cn_id).render_speed_pps
 
 
+def _fixed_parts(
+    sc: Scenario, user: User, bs: BaseStation, resolution: tuple[int, int],
+    fps: float, cn_id: str,
+) -> tuple[float, float, float, float]:
+    """Routing, render, propagation and frame processing of one column.
+
+    These are the parts of a column that neither grants nor the queue
+    change; the frame is rendered at cn_id.
+    """
+    return (
+        routing_latency_s(sc, bs, cn_id),
+        render_latency_s(sc, resolution, fps, cn_id),
+        distance(user.position, bs.position) / sc.radio.speed_of_light_mps,
+        frame_bits(sc, resolution) / bs.processing_capacity_bps,
+    )
+
+
+def fixed_latency_s(
+    sc: Scenario, user: User, bs: BaseStation, resolution: tuple[int, int], fps: float
+) -> float:
+    """The fixed parts of one column, rendered at the cell's nearest node.
+
+    Summed in the order _fixed_parts lists them; each caller adds its own
+    air-time and queueing terms on top.
+    """
+    return sum(_fixed_parts(sc, user, bs, resolution, fps, bs.nearest_cn))
+
+
 def buffer_latency_s(bs: BaseStation, arrival_fps: float) -> float:
     """Queueing delay at the BS frame buffer; infinite once arrivals saturate it."""
     slack = bs.frame_capacity_fps - arrival_fps
@@ -195,22 +178,26 @@ def latency_breakdown(
     """
     if not serving:
         raise ValueError(f"user {user.id} has no serving base station")
+    # this runs per user and cell, so it reads the cached tables directly
+    lt = sc._lookup.get("links") or link_tables(sc)
     bits = frame_bits(sc, resolution)
     best: LatencyBreakdown | None = None
     for bid in serving:
         bs = sc.bs(bid)
-        cn_id = (cn_for_bs or {}).get(bid, bs.nearest_cn)
+        routing, render, propagation, processing = _fixed_parts(
+            sc, user, bs, resolution, fps, (cn_for_bs or {}).get(bid, bs.nearest_cn)
+        )
         grants = prbs_per_bs.get(bid, 0)
         if grants <= 0:
             tx = math.inf
         else:
-            tx = bits / throughput_bps(sc, user, bs, grants)
+            tx = bits / (grants * lt.se_of(user.id, bid))
         cand = LatencyBreakdown(
-            routing_s=routing_latency_s(sc, bs, cn_id),
-            render_s=render_latency_s(sc, resolution, fps, cn_id),
-            propagation_s=distance(user.position, bs.position) / sc.radio.speed_of_light_mps,
+            routing_s=routing,
+            render_s=render,
+            propagation_s=propagation,
             transmission_s=tx,
-            processing_s=bits / bs.processing_capacity_bps,
+            processing_s=processing,
             buffer_s=buffer_latency_s(bs, arrivals_fps.get(bid, 0.0)),
             binding_bs=bid,
         )

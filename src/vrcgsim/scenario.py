@@ -246,12 +246,6 @@ class Scenario:
     def game_of(self, user: User) -> Game:
         return self._lookup["game"][user.game]
 
-    def resolutions_of(self, user: User) -> tuple[tuple[int, int], ...]:
-        return self.headset_of(user).resolutions
-
-    def frame_rates_of(self, user: User) -> tuple[int, ...]:
-        return self.headset_of(user).frame_rates
-
     def paths(self, bs_id: str, cn_id: str) -> tuple[Path, ...]:
         return self.paths_by_bs_cn.get((bs_id, cn_id), ())
 

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .radio import (
+    fixed_latency_s,
     frame_bits,
     latency_breakdown,
     link_tables,
-    routing_latency_s,
     traffic_load_bps,
 )
 from .scenario import BaseStation, RadioParams, Scenario, distance, pixels
@@ -92,39 +92,25 @@ def total_qoe_stage1(sc: Scenario, solution: Stage1Solution) -> float:
 
 
 class _Ctx:
-    """Per-scenario caches: link rates, routing, ranking, capacities."""
+    """Per-scenario caches: candidate ranking and capacities."""
 
     def __init__(self, sc: Scenario, n_max: int):
         self.sc = sc
         self.n = n_max
-        lt = link_tables(sc)
-        self.uord = {u.id: i for i, u in enumerate(sc.users)}
-        self.bord = {b.id: i for i, b in enumerate(sc.base_stations)}
-        self.se = {}
-        self.prop = {}
+        self.lt = lt = link_tables(sc)
         self.cands: dict[str, list[str]] = {}
         self.rank: dict[str, dict[str, int]] = {}
         for i, u in enumerate(sc.users):
             covering = [
-                (float(-lt.sinr[i, j]), self.bord[b.id], b.id)
+                (float(-lt.sinr[i, j]), j, b.id)
                 for j, b in enumerate(sc.base_stations)
                 if distance(u.position, b.position) <= b.coverage_radius_m
             ]
             covering.sort()
             self.cands[u.id] = [bid for _, _, bid in covering]
             self.rank[u.id] = {bid: k for k, (_, _, bid) in enumerate(covering)}
-            for _, j, bid in covering:
-                self.se[(u.id, bid)] = float(lt.se_bps[i, j])
-                self.prop[(u.id, bid)] = (
-                    distance(u.position, sc.bs(bid).position) / sc.radio.speed_of_light_mps
-                )
         self.pool = {b.id: grant_pool(b, sc.radio) for b in sc.base_stations}
         self.cap = {b.id: b.frame_capacity_fps for b in sc.base_stations}
-        self.proc = {b.id: b.processing_capacity_bps for b in sc.base_stations}
-        self.routing = {b.id: routing_latency_s(sc, b) for b in sc.base_stations}
-        self.render_speed = {
-            b.id: sc.cn(b.nearest_cn).render_speed_pps for b in sc.base_stations
-        }
 
     def fixed_s(self, uid: str, bid: str, res, fps) -> float:
         """Per-column latency before the air interface, worst-case queue.
@@ -132,14 +118,8 @@ class _Ctx:
         The queueing term uses the solver's admission cap (half the frame
         capacity), so later admissions can never break an earlier check.
         """
-        bits = frame_bits(self.sc, res)
-        return (
-            self.routing[bid]
-            + pixels(res) * fps / self.render_speed[bid]
-            + self.prop[(uid, bid)]
-            + bits / self.proc[bid]
-            + 2.0 / self.cap[bid]
-        )
+        sc = self.sc
+        return fixed_latency_s(sc, sc.user(uid), sc.bs(bid), res, fps) + 2.0 / self.cap[bid]
 
     def demand(self, uid: str, bid: str, parts: int, res, fps) -> int | None:
         """Grants one cell must give when the stream is split parts ways.
@@ -148,7 +128,7 @@ class _Ctx:
         to push a whole frame over the air inside the deadline.  The frame
         never shrinks with a split, so the deadline term ignores parts.
         """
-        se = self.se.get((uid, bid), 0.0)
+        se = self.lt.se_of(uid, bid)
         if se <= 0:
             return None
         budget = self.sc.radio.deadline_for(fps) + 1e-12 - self.fixed_s(uid, bid, res, fps)
@@ -164,7 +144,7 @@ class _Ctx:
         if grants <= 0:
             return False
         bits = frame_bits(self.sc, res)
-        total = self.fixed_s(uid, bid, res, fps) + bits / (grants * self.se[(uid, bid)])
+        total = self.fixed_s(uid, bid, res, fps) + bits / (grants * self.lt.se_of(uid, bid))
         return total <= self.sc.radio.deadline_for(fps) + 1e-12
 
 
@@ -262,7 +242,7 @@ def _try_place(ctx: _Ctx, st: _State, uid: str, parts: int) -> list[str] | None:
             for v in st.place
             if bid in st.place[v] and v not in evicted and ctx.rank[v][bid] > my_rank
         ]
-        incumbents.sort(key=lambda v: (ctx.rank[v][bid], ctx.uord[v]), reverse=True)
+        incumbents.sort(key=lambda v: (ctx.rank[v][bid], ctx.lt.user_index[v]), reverse=True)
         snap_pool = dict(freed_pool)
         snap_arr = dict(freed_arr)
         picked: list[str] = []
@@ -410,7 +390,7 @@ def maximize_qoe(
             st.place,
             key=lambda uid: (
                 -(_max_qoe(sc, uid) - _current_qoe(sc, st, uid)),
-                ctx.uord[uid],
+                ctx.lt.user_index[uid],
             ),
         )
         for uid in order:

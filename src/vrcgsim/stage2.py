@@ -11,15 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .radio import (
-    buffer_latency_s,
-    frame_bits,
-    render_latency_s,
-    routing_latency_s,
-    throughput_bps,
-    traffic_load_bps,
-)
-from .scenario import ComputeNode, Scenario, distance, pixels
+from .radio import latency_breakdown, traffic_load_bps
+from .scenario import ComputeNode, Scenario, pixels
 from .stage1 import Stage1Solution, Violation
 
 _REL_TOL = 1e-9
@@ -119,21 +112,12 @@ def stage1_columns(
     out: dict[tuple[str, str], tuple[float, float]] = {}
     for uid in stage1.admitted:
         u = sc.user(uid)
-        res = stage1.resolution[uid]
-        fps = stage1.frame_rate[uid]
-        bits = frame_bits(sc, res)
         for bid in stage1.assoc[uid]:
-            b = sc.bs(bid)
-            route = routing_latency_s(sc, b)
-            col = (
-                route
-                + render_latency_s(sc, res, fps, b.nearest_cn)
-                + distance(u.position, b.position) / sc.radio.speed_of_light_mps
-                + bits / throughput_bps(sc, u, b, stage1.prbs[(uid, bid)])
-                + bits / b.processing_capacity_bps
-                + buffer_latency_s(b, arrivals[bid])
+            lb = latency_breakdown(
+                sc, u, (bid,), stage1.resolution[uid], stage1.frame_rate[uid],
+                {bid: stage1.prbs[(uid, bid)]}, arrivals,
             )
-            out[(uid, bid)] = (col, route)
+            out[(uid, bid)] = (lb.total_s, lb.routing_s)
     return out
 
 

@@ -18,14 +18,8 @@ import bisect
 import math
 from dataclasses import dataclass
 
-from .radio import (
-    frame_bits,
-    link_tables,
-    render_latency_s,
-    routing_latency_s,
-    traffic_load_bps,
-)
-from .scenario import Scenario, distance, pixels
+from .radio import fixed_latency_s, link_tables, traffic_load_bps
+from .scenario import Scenario, pixels
 from .stage1 import Stage1Solution, Violation, is_quality
 
 ResMap = dict[tuple[str, str], tuple[int, int]]
@@ -391,11 +385,7 @@ def mtp_latency(
         fps = stage1.frame_rate[u.id]
         res = stage1.resolution[u.id]
         fixed = max(
-            routing_latency_s(sc, sc.bs(bid))
-            + render_latency_s(sc, res, fps, sc.bs(bid).nearest_cn)
-            + distance(u.position, sc.bs(bid).position) / sc.radio.speed_of_light_mps
-            + frame_bits(sc, res) / sc.bs(bid).processing_capacity_bps
-            for bid in stage1.assoc[u.id]
+            fixed_latency_s(sc, u, sc.bs(bid), res, fps) for bid in stage1.assoc[u.id]
         )
         per_frame = objects_load(sc, stage1, solution.object_resolution, u.id) / fps
         caps = [[tti, bits] for tti, bits in sorted(capacity[u.id].items())]
@@ -506,9 +496,11 @@ def verify_stage3(
             continue
         bounds = list(starts) + [ttis]
         for bid in stage1.assoc[u.id]:
-            mine = tx_ttis.get((u.id, bid), set())
+            mine = sorted(tx_ttis.get((u.id, bid), ()))
             for j in range(len(starts)):
-                if not any(bounds[j] <= tti < bounds[j + 1] for tti in mine):
+                # the first transmission at or after the group's start
+                k = bisect.bisect_left(mine, bounds[j])
+                if k == len(mine) or mine[k] >= bounds[j + 1]:
                     out.append(
                         Violation(
                             "groups", f"{u.id}@{bid}", f"group {j} has no transmission"

@@ -88,25 +88,31 @@ def test_experiment_is_deterministic():
     assert a == b
 
 
-def test_abort_carries_partial_reports(monkeypatch):
+@pytest.mark.parametrize("method, verifier", [
+    ("vexa", "verify_stage1"),
+    ("gepar", "verify_stage2"),
+    ("amps", "verify_stage3"),
+])
+def test_abort_carries_partial_reports(monkeypatch, method, verifier):
     import vrcgsim.metrics as metrics
     from vrcgsim.stage1 import Violation
 
     sc = generate_synthetic(seed=2, n_users=10, n_bs=2, n_cns=3)
     calls = {"n": 0}
-    real = metrics.verify_stage2
+    real = getattr(metrics, verifier)
 
-    def flaky(sol, world, stage1):
+    def flaky(*args):
         calls["n"] += 1
         if calls["n"] >= 2:
             return [Violation("capacity", "cn0", "cooked")]
-        return real(sol, world, stage1)
+        return real(*args)
 
-    monkeypatch.setattr(metrics, "verify_stage2", flaky)
+    # the experiment loop must look verifiers up when it calls them
+    monkeypatch.setattr(metrics, verifier, flaky)
     with pytest.raises(ExperimentAbort) as exc:
-        run_experiment(sc, ["vexa", "gepar"], timesteps=3)
+        run_experiment(sc, dict.fromkeys(["vexa", method]), timesteps=3)
     assert exc.value.timestep == 1
-    assert exc.value.method == "gepar"
+    assert exc.value.method == method
     assert len(exc.value.reports) == 1
     assert "cooked" in str(exc.value)
 

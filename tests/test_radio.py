@@ -5,18 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalar_radio import (
+    link_budget,
+    path_loss_db,
+    sinr,
+    spectral_efficiency,
+    throughput_bps,
+)
 from vrcgsim.radio import (
     buffer_latency_s,
     check_deadline,
     frame_bits,
     latency_breakdown,
-    link_budget,
-    path_loss_db,
+    link_tables,
     render_latency_s,
     routing_latency_s,
-    sinr,
-    spectral_efficiency,
-    throughput_bps,
     traffic_load_bps,
 )
 from vrcgsim.scenario import generate_synthetic
@@ -94,6 +97,30 @@ def test_shared_channel_creates_interference():
     lb = link_budget(sc2, u, sc2.base_stations[0])
     assert lb.interference_w > 0
     assert sinr(sc2, u, sc2.base_stations[0]) < lb.rx_power_w / lb.noise_w
+
+
+def _assert_tables_match_scalar(sc):
+    lt = link_tables(sc)
+    assert lt is link_tables(sc)  # built once per scenario instance
+    for u in sc.users:
+        for b in sc.base_stations:
+            i, j = lt.user_index[u.id], lt.bs_index[b.id]
+            assert lt.sinr[i, j] == pytest.approx(sinr(sc, u, b), rel=1e-12)
+            assert lt.se_bps[i, j] == pytest.approx(spectral_efficiency(sc, u, b), rel=1e-12)
+            assert lt.se_of(u.id, b.id) == lt.se_bps[i, j]
+
+
+def test_link_tables_match_scalar_on_shared_channel():
+    sc = generate_synthetic(
+        seed=5, n_users=40, n_bs=5, n_cns=4, overrides={"shared_channel": True}
+    )
+    _assert_tables_match_scalar(sc)
+
+
+def test_link_tables_are_read_only(sc):
+    lt = link_tables(sc)
+    with pytest.raises(ValueError):
+        lt.se_bps[0, 0] = 0.0
 
 
 def test_traffic_load_reference_value(sc):

@@ -2,8 +2,10 @@ import math
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import make_scenario
+from helpers import make_scenario, tiny_scenario
 from vrcgsim.radio import (
     frame_bits,
     render_latency_s,
@@ -11,7 +13,7 @@ from vrcgsim.radio import (
     traffic_load_bps,
 )
 from vrcgsim.scenario import distance, generate_synthetic, pixels
-from vrcgsim.stage1 import vexa
+from vrcgsim.stage1 import Violation, vexa
 from vrcgsim.stage3 import (
     Stage3Solution,
     amps,
@@ -319,3 +321,60 @@ def test_verifier_flags_missing_group_and_bad_objects():
     short = {k: v for k, v in sol.schedule.items() if k != ("bs0", 1)}
     under = Stage3Solution(sol.object_resolution, short, sol.tti_groups)
     assert any(v.kind == "grants" for v in verify_stage3(under, sc, s1))
+
+
+def _group_scan(sol, sc, stage1):
+    """The verifier's group-coverage rule as a plain scan over every TTI."""
+    ttis = sc.radio.ttis_per_window
+    tx: dict[tuple[str, str], set[int]] = {}
+    for (bid, tti), entries in sol.schedule.items():
+        for uid, n in entries:
+            if n > 0:
+                tx.setdefault((uid, bid), set()).add(tti)
+    out = []
+    for u in sc.users:
+        if u.id not in stage1.admitted:
+            continue
+        starts = sol.tti_groups.get(u.id)
+        if not starts:
+            out.append(Violation("groups", u.id, "no TTI groups recorded"))
+            continue
+        bounds = list(starts) + [ttis]
+        for bid in stage1.assoc[u.id]:
+            mine = tx.get((u.id, bid), set())
+            for j in range(len(starts)):
+                if not any(bounds[j] <= tti < bounds[j + 1] for tti in mine):
+                    out.append(
+                        Violation("groups", f"{u.id}@{bid}", f"group {j} has no transmission")
+                    )
+                    break
+    return out
+
+
+_TINY = tiny_scenario(seed=0, n_users=3, n_bs=2, max_connections=2)
+_TINY_S1 = vexa(_TINY)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_group_coverage_matches_the_plain_scan(data):
+    """Hand-edited groups: unsorted, duplicate or out-of-window starts."""
+    sc, stage1 = _TINY, _TINY_S1
+    ttis = sc.radio.ttis_per_window
+    tti = st.integers(min_value=-3, max_value=ttis + 3)
+    schedule: dict[tuple[str, int], list[tuple[str, int]]] = {}
+    for uid, bid in sorted(stage1.prbs):
+        for t in data.draw(st.sets(tti, max_size=10)):
+            n = data.draw(st.integers(min_value=0, max_value=2))
+            schedule.setdefault((bid, t), []).append((uid, n))
+    groups = {
+        uid: tuple(data.draw(st.lists(tti, max_size=6)))
+        for uid in sorted(stage1.admitted)
+    }
+    sol = Stage3Solution(
+        stage1_object_resolutions(sc, stage1),
+        {key: tuple(entries) for key, entries in schedule.items()},
+        groups,
+    )
+    found = [v for v in verify_stage3(sol, sc, stage1) if v.kind == "groups"]
+    assert found == _group_scan(sol, sc, stage1)
