@@ -63,8 +63,10 @@ def link_tables(sc: Scenario) -> LinkTables:
     bw = np.array([b.prb_bandwidth_hz for b in sc.base_stations], dtype=float)[None, :]
     noise = 10.0 ** ((r.noise_density_dbm_hz - 30.0) / 10.0) * bw
     ch = np.array([b.channel_id for b in sc.base_stations])
-    same = (ch[None, :] == ch[:, None]).astype(float)
-    interference = rx @ same - rx
+    # co-channel cells other than the serving one; subtracting the serving
+    # cell's own power from a sum over all would cancel away weak interference
+    others = (ch[None, :] == ch[:, None]) & ~np.eye(len(ch), dtype=bool)
+    interference = rx @ others.astype(float)
     sinr_m = rx / (interference + noise)
     se = bw * np.log2(1.0 + sinr_m)
     sinr_m.flags.writeable = se.flags.writeable = False

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import make_scenario
 from scalar_radio import (
     link_budget,
     path_loss_db,
@@ -22,7 +23,7 @@ from vrcgsim.radio import (
     routing_latency_s,
     traffic_load_bps,
 )
-from vrcgsim.scenario import generate_synthetic
+from vrcgsim.scenario import distance, generate_synthetic
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +115,32 @@ def test_link_tables_match_scalar_on_shared_channel():
     sc = generate_synthetic(
         seed=5, n_users=40, n_bs=5, n_cns=4, overrides={"shared_channel": True}
     )
+    _assert_tables_match_scalar(sc)
+
+
+def test_link_tables_match_scalar_with_line_of_sight_users():
+    # two cells share a channel; u0 and u2 stand inside the 50 m LoS range
+    # and u3 on b0's site, where b1's interference is tiny next to b0's power
+    sc = make_scenario(
+        users=[
+            {"id": "u0", "position": [520.0, 500.0]},
+            {"id": "u1", "position": [900.0, 1300.0], "height_m": 2.5},
+            {"id": "u2", "position": [1500.0, 1030.0]},
+            {"id": "u3", "position": [500.0, 500.0]},
+        ],
+        base_stations=[
+            {"id": "b0", "position": [500.0, 500.0], "channel_id": 0},
+            {"id": "b1", "position": [1500.0, 1000.0], "channel_id": 0},
+            {"id": "b2", "position": [1000.0, 2000.0], "channel_id": 1},
+        ],
+    )
+    los = [
+        (u.id, b.id)
+        for u in sc.users
+        for b in sc.base_stations
+        if distance(u.position, b.position) <= sc.radio.los_threshold_m
+    ]
+    assert ("u0", "b0") in los and ("u2", "b1") in los
     _assert_tables_match_scalar(sc)
 
 
