@@ -41,6 +41,7 @@ from .stage3 import (
     amps,
     baseline_proportional_fair,
     baseline_round_robin,
+    flat_schedule,
     mtp_latency,
     mtpsched,
     qoe_stage3,
@@ -150,7 +151,8 @@ def _scene_fields(sc: Scenario, stage1: Stage1Solution, resolutions) -> dict:
 
 def _schedule_fields(sc: Scenario, stage1: Stage1Solution, sol: Stage3Solution) -> dict:
     report = mtp_latency(sol, sc, stage1)
-    assigned = sum(n for entries in sol.schedule.values() for _, n in entries)
+    # every grant of the schedule as given: rr and pf ignore stage-1 totals
+    assigned = int(flat_schedule(sol, sc).n.sum())
     return {
         "avg_mtp_s": (
             statistics.mean(report.average_s.values()) if report.average_s else None

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,7 +48,9 @@ class Stage1Solution:
 
     assoc lists serving cells in the user's preference order; prbs counts
     PRB-TTI grants over the scheduling window; share is the fraction of the
-    video stream each serving cell carries (equal split).
+    video stream each serving cell carries (equal split). _memo keeps
+    what later stages derive from this solution alone (stage 3 keeps its
+    grant layout there), so it lives and dies with the timestep's solution.
     """
 
     assoc: dict[str, tuple[str, ...]]
@@ -57,6 +59,7 @@ class Stage1Solution:
     frame_rate: dict[str, int]
     share: dict[tuple[str, str], float]
     admitted: frozenset[str]
+    _memo: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
 
 def grant_pool(bs: BaseStation, radio: RadioParams) -> int:

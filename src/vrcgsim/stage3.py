@@ -8,15 +8,24 @@ closely watched objects sharpen at the expense of background ones.
 
 mtpsched then turns each user's grant total into a concrete TTI
 schedule, spacing the grants so a freshly generated frame never waits
-long for a transmission opportunity. Round-robin and proportional-fair
-schedulers are provided as comparison points; both hand out all PRBs of
-every TTI and ignore grant totals and group coverage on purpose.
+long for a transmission opportunity. The layout reads only stage 1, so
+it is built once per stage-1 solution (one per timestep) and amps and
+mtpsched share it. Round-robin and proportional-fair schedulers are
+provided as comparison points; both hand out all PRBs of every TTI and
+ignore grant totals and group coverage on purpose.
+
+mtp_latency and verify_stage3 read a schedule through flat_schedule, its
+grants as arrays, built at most once per solution.
 """
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate, chain, repeat
+from operator import itemgetter
+
+import numpy as np
 
 from .radio import fixed_latency_s, link_tables, traffic_load_bps
 from .scenario import Scenario, pixels
@@ -32,12 +41,14 @@ class Stage3Solution:
     schedule maps (bs, tti) to the users transmitting in that TTI with
     their PRB counts; TTIs without entries are omitted. tti_groups holds
     each user's group start offsets (group j spans [starts[j], starts[j+1])
-    with the last group ending at the window).
+    with the last group ending at the window). A solution is read as built:
+    its schedule's arrays are kept in _memo once made.
     """
 
     object_resolution: ResMap
     schedule: dict[tuple[str, int], tuple[tuple[str, int], ...]]
     tti_groups: dict[str, tuple[int, ...]]
+    _memo: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -115,6 +126,10 @@ def amps(sc: Scenario, stage1: Stage1Solution) -> Stage3Solution:
     lower-attention object with the largest on-screen pixel area drops a
     rung to free room, and the swap is kept only when the attention
     weights make it a net gain. Passes repeat until nothing moves.
+
+    The grants are mtpsched's layout, which the stage-1 solution keeps:
+    an mtpsched of the same timestep reuses it rather than building it
+    again.
     """
     resolutions = stage1_object_resolutions(sc, stage1)
     users = [u for u in sc.users if u.id in stage1.admitted]
@@ -178,23 +193,6 @@ def amps(sc: Scenario, stage1: Stage1Solution) -> Stage3Solution:
 # Grant scheduling
 
 
-def _nearest_free(avail: list[int], target: int, lo: int, hi: int) -> int | None:
-    """Closest TTI to target among the free ones in [lo, hi), ties earlier."""
-    left = bisect.bisect_left(avail, lo)
-    right = bisect.bisect_left(avail, hi)
-    if left >= right:
-        return None
-    pos = bisect.bisect_left(avail, target, left, right)
-    best = None
-    if pos < right:
-        best = avail[pos]
-    if pos > left:
-        cand = avail[pos - 1]
-        if best is None or target - cand <= best - target:
-            best = cand
-    return best
-
-
 def mtpsched(
     sc: Scenario, stage1: Stage1Solution, resolutions: ResMap | None = None
 ) -> Stage3Solution:
@@ -207,14 +205,38 @@ def mtpsched(
     grants over the whole window the same way. Raises ValueError when a
     base station cannot hold its users' grants or a group is already
     packed solid.
+
+    The layout depends on stage 1 alone, not on the resolutions, so it is
+    built once per stage-1 solution and kept on it: amps and a following
+    mtpsched of the same timestep share one layout.
     """
     if resolutions is None:
         resolutions = stage1_object_resolutions(sc, stage1)
+    kept = stage1._memo.get("grant_layout")
+    if kept is None or kept[0] is not sc:
+        kept = (sc, *_grant_layout(sc, stage1))
+        stage1._memo["grant_layout"] = kept
+    _, schedule, groups = kept
+    return Stage3Solution(resolutions, dict(schedule), dict(groups))
+
+
+def _grant_layout(
+    sc: Scenario, stage1: Stage1Solution
+) -> tuple[dict[tuple[str, int], tuple[tuple[str, int], ...]], dict[str, tuple[int, ...]]]:
+    """mtpsched's schedule and TTI groups, built from scratch."""
     ttis = sc.radio.ttis_per_window
     groups: dict[str, tuple[int, ...]] = {}
     for uid in stage1.admitted:
         t = sc.radio.tti_groups_for(stage1.frame_rate[uid])
         groups[uid] = group_starts(ttis, t)
+    # (target, lo, hi) of each group's pinned grant, per group layout
+    pins: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
+    for starts in set(groups.values()):
+        bounds = list(starts) + [ttis]
+        pins[starts] = [
+            (min(max((j + 1) * ttis // (len(starts) + 1), lo), hi - 1), lo, hi)
+            for j, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+        ]
 
     schedule: dict[tuple[str, int], tuple[tuple[str, int], ...]] = {}
     for b in sc.base_stations:
@@ -232,42 +254,50 @@ def mtpsched(
                 f"schedulable on {b.id}"
             )
         free = [b.usable_prbs] * ttis
-        avail = list(range(ttis))
+        # how far each (target, lo, hi) has walked its nearest-free order
+        # target, target-1, target+1, ...; TTIs only fill, so it never
+        # has to step back
+        walked: dict[tuple[int, int, int], int] = {}
         counts: dict[tuple[str, int], int] = {}
 
-        def take(uid: str, tti: int):
+        def take(uid: str, target: int, lo: int, hi: int) -> bool:
+            """Grant uid the free TTI in [lo, hi) nearest target, ties earlier."""
+            key = (target, lo, hi)
+            k = walked.get(key, 0)
+            reach = max(target - lo, hi - 1 - target)
+            while True:
+                d = (k + 1) // 2
+                if d > reach:
+                    walked[key] = k
+                    return False
+                tti = target - d if k % 2 else target + d
+                if lo <= tti < hi and free[tti]:
+                    break
+                k += 1
+            walked[key] = k
             free[tti] -= 1
             counts[(uid, tti)] = counts.get((uid, tti), 0) + 1
-            if free[tti] == 0:
-                avail.pop(bisect.bisect_left(avail, tti))
+            return True
 
         for uid, y in owed:
-            starts = groups[uid]
-            bounds = list(starts) + [ttis]
-            for j in range(min(len(starts), y)):
-                lo, hi = bounds[j], bounds[j + 1]
-                target = min(max((j + 1) * ttis // (len(starts) + 1), lo), hi - 1)
-                tti = _nearest_free(avail, target, lo, hi)
-                if tti is None:
+            for j, (target, lo, hi) in enumerate(pins[groups[uid]][:max(y, 0)]):
+                if not take(uid, target, lo, hi):
                     raise ValueError(
                         f"no spare TTI left in group {j} on {b.id}"
                     )
-                take(uid, tti)
         for uid, y in owed:
             extra = y - len(groups[uid])
             for i in range(1, max(0, extra) + 1):
                 target = i * ttis // (extra + 1)
-                tti = _nearest_free(avail, min(target, ttis - 1), 0, ttis)
-                if tti is None:
+                if not take(uid, min(target, ttis - 1), 0, ttis):
                     raise ValueError(f"schedule of {b.id} is full")
-                take(uid, tti)
 
         per_tti: dict[int, list[tuple[str, int]]] = {}
         for (uid, tti), n in counts.items():
             per_tti.setdefault(tti, []).append((uid, n))
         for tti, entries in per_tti.items():
             schedule[(b.id, tti)] = tuple(sorted(entries))
-    return Stage3Solution(resolutions, schedule, groups)
+    return schedule, groups
 
 
 def baseline_round_robin(sc: Scenario, stage1: Stage1Solution) -> Stage3Solution:
@@ -345,6 +375,56 @@ def baseline_proportional_fair(
 
 
 # ---------------------------------------------------------------------------
+# The schedule as arrays
+
+
+@dataclass(frozen=True)
+class FlatSchedule:
+    """A schedule's grants as arrays, in the schedule's own order.
+
+    One row per (user, PRB count) entry: the schedule's keys in dict
+    order, each key's entries in order. Users and cells are rows and
+    columns of the link tables, -1 for ids the scenario does not know.
+    """
+
+    key: np.ndarray  # [entry] -> row of key_bs / key_tti
+    user: np.ndarray  # [entry] link-table row of the user
+    n: np.ndarray  # [entry] PRBs granted
+    key_bs: np.ndarray  # [key] link-table column of the cell
+    key_tti: np.ndarray  # [key] TTI
+
+
+def flat_schedule(solution: Stage3Solution, sc: Scenario) -> FlatSchedule:
+    """The schedule of `solution` as arrays, made once per solution.
+
+    Raises OverflowError when a TTI or grant count does not fit 64 bits.
+    """
+    kept = solution._memo.get("flat")
+    if kept is not None and kept[0] is sc:
+        return kept[1]
+    lt = link_tables(sc)
+    sched = solution.schedule
+    sizes = np.fromiter(map(len, sched.values()), dtype=np.intp, count=len(sched))
+    # user, n, user, n, ... over every entry
+    parts = list(chain.from_iterable(chain.from_iterable(sched.values())))
+    flat = FlatSchedule(
+        key=np.repeat(np.arange(len(sched), dtype=np.int32), sizes),
+        user=np.fromiter(
+            map(lt.user_index.get, parts[0::2], repeat(-1)),
+            dtype=np.int32, count=len(parts) // 2,
+        ),
+        n=np.fromiter(parts[1::2], dtype=np.int64, count=len(parts) // 2),
+        key_bs=np.fromiter(
+            map(lt.bs_index.get, map(itemgetter(0), sched), repeat(-1)),
+            dtype=np.int32, count=len(sched),
+        ),
+        key_tti=np.fromiter(map(itemgetter(1), sched), dtype=np.int64, count=len(sched)),
+    )
+    solution._memo["flat"] = (sc, flat)
+    return flat
+
+
+# ---------------------------------------------------------------------------
 # Motion-to-photon latency
 
 
@@ -362,63 +442,111 @@ def mtp_latency(
     propagation, frame processing) are priced at the stage-1 selections
     with the worst serving cell deciding, and queueing is left out since
     the schedule itself is the queue.
+
+    All users drain in lockstep, one frame index at a time; each user's
+    arithmetic runs in the same order as a drain of that user alone.
+    Grants for users outside the scenario are ignored.
     """
-    ttis = sc.radio.ttis_per_window
     tti_s = sc.radio.tti_s
     window = sc.radio.window_s
     lt = link_tables(sc)
+    users = [u for u in sc.users if u.id in stage1.admitted]
+    if not users:
+        return MtpReport({}, {}, frozenset())
 
-    capacity: dict[str, dict[int, float]] = {uid: {} for uid in stage1.admitted}
-    for (bid, tti), entries in solution.schedule.items():
-        for uid, n in entries:
-            if uid not in capacity:
-                continue
-            bits = n * lt.se_of(uid, bid) * window
-            capacity[uid][tti] = capacity[uid].get(tti, 0.0) + bits
+    # bits each admitted user can send per TTI, summed in schedule order
+    flat = flat_schedule(solution, sc)
+    rank = np.full(len(sc.users) + 1, -1)  # the last slot answers user -1
+    rank[[lt.user_index[u.id] for u in users]] = np.arange(len(users))
+    mine = rank[flat.user]
+    sel = mine >= 0
+    mine, key = mine[sel], flat.key[sel]
+    bs = flat.key_bs[key]
+    if (bs < 0).any():  # a cell the scenario does not know
+        raise KeyError(list(solution.schedule)[key[np.argmax(bs < 0)]][0])
+    bits = flat.n[sel] * lt.se_bps[flat.user[sel], bs] * window
+    tti = flat.key_tti[key]
+    t0 = int(tti.min()) if tti.size else 0
+    span = (int(tti.max()) if tti.size else 0) - t0 + 2
+    slot = mine * span + (tti - t0)  # (user, TTI), sortable
+    # stable: a user's grants in one TTI add up in schedule order
+    order = np.argsort(slot, kind="stable")
+    slot, bits = slot[order], bits[order]
+    first = np.ones(len(slot), dtype=bool)
+    first[1:] = slot[1:] != slot[:-1]
+    left = np.zeros(int(first.sum()))
+    np.add.at(left, np.cumsum(first) - 1, bits)  # one grant at a time, in order
+    slot = slot[first]
+    slot_tti = slot % span + t0
+    ptr = np.searchsorted(slot, np.arange(len(users)) * span)  # each user's TTIs
+    end = np.searchsorted(slot, np.arange(1, len(users) + 1) * span)
 
-    average: dict[str, float] = {}
-    samples: dict[str, tuple[float, ...]] = {}
-    truncated = set()
-    for u in sc.users:
-        if u.id not in stage1.admitted:
-            continue
+    # each user's frame stream and the fixed parts of its latency
+    fps_of, fixed, per_frame = [], [], []
+    for u in users:
         fps = stage1.frame_rate[u.id]
         res = stage1.resolution[u.id]
-        fixed = max(
+        fixed.append(max(
             fixed_latency_s(sc, u, sc.bs(bid), res, fps) for bid in stage1.assoc[u.id]
-        )
-        per_frame = objects_load(sc, stage1, solution.object_resolution, u.id) / fps
-        caps = [[tti, bits] for tti, bits in sorted(capacity[u.id].items())]
-        n_frames = max(1, math.ceil(fps * window - 1e-9))
-        out = []
-        at = 0
-        for i in range(n_frames):
-            born = i / fps
-            need = per_frame
-            if need <= 0:
-                out.append(fixed)
-                continue
-            eligible = math.ceil(born / tti_s - 1e-9)
-            done = None
-            while at < len(caps):
-                tti, left = caps[at]
-                if tti < eligible or left <= 1e-9:
-                    at += 1
-                    continue
-                grab = min(need, left)
-                caps[at][1] -= grab
-                need -= grab
-                if need <= 1e-9:
-                    done = (tti + 1) * tti_s
-                    break
-                at += 1
-            if done is None:
-                done = window
-                truncated.add(u.id)
-            out.append(done - born + fixed)
-        samples[u.id] = tuple(out)
-        average[u.id] = sum(out) / len(out)
-    return MtpReport(average, samples, frozenset(truncated))
+        ))
+        per_frame.append(objects_load(sc, stage1, solution.object_resolution, u.id) / fps)
+        fps_of.append(fps)
+    fixed, per_frame = np.array(fixed), np.array(per_frame)
+    n_frames = [max(1, math.ceil(fps * window - 1e-9)) for fps in fps_of]
+    fps = np.array(fps_of, dtype=float)
+    frames = np.array(n_frames)
+
+    # every user's frames, back to back; a user with nothing to send
+    # waits for the fixed parts only
+    offset = list(accumulate(n_frames, initial=0))
+    first_frame = np.array(offset[:-1])
+    out = np.repeat(fixed, n_frames)
+    truncated = np.zeros(len(users), dtype=bool)
+    drains = np.flatnonzero(per_frame > 0)
+    for i in range(max(n_frames)):
+        act = drains[frames[drains] > i]
+        born = i / fps[act]
+        eligible = np.ceil(born / tti_s - 1e-9)
+        # TTIs before the frame is born are passed over
+        since = np.clip(eligible - t0, 0, span - 1).astype(np.int64)
+        at = np.maximum(ptr[act], np.searchsorted(slot, act * span + since))
+        stop = end[act]
+        need = per_frame[act]
+        done = np.full(len(act), window)
+        busy = np.arange(len(act))  # positions in act still draining
+        while busy.size:
+            over = at[busy] >= stop[busy]
+            if over.any():
+                truncated[act[busy[over]]] = True
+                busy = busy[~over]
+            p = at[busy]
+            spent = left[p] <= 1e-9
+            passed = busy[spent]
+            if passed.size:
+                at[passed] += 1
+                busy, p = busy[~spent], p[~spent]
+            grab = np.minimum(need[busy], left[p])
+            left[p] -= grab
+            rest = need[busy] - grab
+            need[busy] = rest
+            fin = rest <= 1e-9
+            done[busy[fin]] = (slot_tti[p[fin]] + 1) * tti_s
+            busy = busy[~fin]
+            at[busy] += 1
+            if passed.size:
+                busy = np.concatenate((passed, busy))
+        ptr[act] = at
+        out[first_frame[act] + i] = done - born + fixed[act]
+
+    values = out.tolist()
+    average: dict[str, float] = {}
+    samples: dict[str, tuple[float, ...]] = {}
+    for u, lo, count in zip(users, offset, n_frames):
+        samples[u.id] = mine = tuple(values[lo:lo + count])
+        average[u.id] = sum(mine) / count
+    return MtpReport(
+        average, samples, frozenset(u.id for u, t in zip(users, truncated) if t)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +556,14 @@ def mtp_latency(
 def verify_stage3(
     solution: Stage3Solution, sc: Scenario, stage1: Stage1Solution
 ) -> list[Violation]:
-    """Independent audit of a stage-3 solution against stage-1 commitments."""
-    out: list[Violation] = []
-    lt = link_tables(sc)
-    ttis = sc.radio.ttis_per_window
+    """Independent audit of a stage-3 solution against stage-1 commitments.
 
+    The schedule is first audited as numpy passes over its arrays. Only
+    when those find something, or meet an id the scenario does not know,
+    is it audited again grant by grant to word the violations, so the
+    list and its order are those of the plain audit.
+    """
+    out: list[Violation] = []
     wanted = {
         (u.id, o.id)
         for u in sc.users
@@ -455,7 +586,90 @@ def verify_stage3(
                 out.append(
                     Violation("objects", f"{u.id}/{o.id}", f"{res} not offered by {hs.id}")
                 )
+    try:
+        clean = _schedule_clean(flat_schedule(solution, sc), solution, sc, stage1)
+    except OverflowError:  # a TTI or count past 64 bits: only the loops can say
+        clean = False
+    if not clean:
+        out += _schedule_violations(solution, sc, stage1)
+    return out
 
+
+def _schedule_clean(
+    flat: FlatSchedule, solution: Stage3Solution, sc: Scenario, stage1: Stage1Solution
+) -> bool:
+    """True when _schedule_violations would find nothing."""
+    lt = link_tables(sc)
+    ttis = sc.radio.ttis_per_window
+    nb = len(sc.base_stations)
+    if (flat.user < 0).any() or (flat.key_bs < 0).any():
+        return False
+    # every grant positive, inside the window, within its cell's PRBs
+    if (flat.n <= 0).any() or (flat.key_tti < 0).any() or (flat.key_tti >= ttis).any():
+        return False
+    usable = np.array([b.usable_prbs for b in sc.base_stations])
+    used = np.bincount(flat.key, weights=flat.n, minlength=len(flat.key_bs))
+    if (used > usable[flat.key_bs]).any():
+        return False
+
+    # every (user, cell) pair gets exactly its stage-1 grants, others none
+    pair = flat.user.astype(np.int64) * nb + flat.key_bs[flat.key]
+    given = np.bincount(pair, weights=flat.n, minlength=len(sc.users) * nb)
+    owed = np.zeros_like(given)
+    for (uid, bid), y in stage1.prbs.items():
+        if uid not in lt.user_index or bid not in lt.bs_index:
+            return False
+        owed[lt.user_index[uid] * nb + lt.bs_index[bid]] = y
+    if (given != owed).any():
+        return False
+
+    # a transmission in every TTI group, on every serving cell
+    users = [u for u in sc.users if u.id in stage1.admitted]
+    pairs_by_groups: dict[tuple[int, ...], list[int]] = {}
+    for u in users:
+        starts = solution.tti_groups.get(u.id)
+        if not starts:
+            return False
+        for bid in stage1.assoc[u.id]:
+            if bid not in lt.bs_index:
+                return False
+            pairs_by_groups.setdefault(tuple(starts), []).append(
+                lt.user_index[u.id] * nb + lt.bs_index[bid])
+    tx = np.sort(pair * (ttis + 1) + flat.key_tti[flat.key])
+    for starts, pairs in pairs_by_groups.items():
+        # grants all lie in [0, ttis), so clipping the bounds there keeps the answer
+        bounds = np.clip(np.array(starts + (ttis,), dtype=np.int64), 0, ttis)
+        base = np.array(pairs, dtype=np.int64)[:, None] * (ttis + 1)
+        first = np.searchsorted(tx, (base + bounds[:-1]).ravel())
+        past = np.searchsorted(tx, (base + bounds[1:]).ravel())
+        if (past <= first).any():
+            return False
+
+    # the scene fits the stage-1 budget and the grants carry it
+    for u in users:
+        try:
+            scene = objects_load(sc, stage1, solution.object_resolution, u.id)
+        except KeyError:
+            continue  # reported as a missing object
+        ceiling = traffic_load_bps(
+            sc, 1.0, stage1.resolution[u.id], stage1.frame_rate[u.id]
+        )
+        served = sum(
+            float(given[lt.user_index[u.id] * nb + lt.bs_index[bid]]) * lt.se_of(u.id, bid)
+            for bid in stage1.assoc[u.id]
+        )
+        if scene > ceiling * (1 + 1e-9) or served < scene * (1 - 1e-9):
+            return False
+    return True
+
+
+def _schedule_violations(
+    solution: Stage3Solution, sc: Scenario, stage1: Stage1Solution
+) -> list[Violation]:
+    """The schedule's part of the audit, grant by grant."""
+    out: list[Violation] = []
+    lt = link_tables(sc)
+    ttis = sc.radio.ttis_per_window
     given: dict[tuple[str, str], int] = {}
     tx_ttis: dict[tuple[str, str], set[int]] = {}
     for (bid, tti), entries in solution.schedule.items():
