@@ -9,9 +9,13 @@ solvers never mutate them.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from operator import attrgetter
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -80,11 +84,26 @@ class ScenarioError(ValueError):
         super().__init__("invalid scenario: " + "; ".join(self.violations))
 
 
+# Field rules: a numeric field names its rule in its metadata. Every rule
+# asks for a finite value, and a tuple-valued field applies it to each entry.
+_RULES = {
+    "finite": lambda v: -math.inf < v < math.inf,
+    "positive": lambda v: 0 < v < math.inf,
+    "non-negative": lambda v: 0 <= v < math.inf,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+}
+_FINITE = {"rule": "finite"}
+_POSITIVE = {"rule": "positive"}
+_NON_NEGATIVE = {"rule": "non-negative"}
+_UNIT = {"rule": "in [0, 1]"}
+
+
 @dataclass(frozen=True)
 class Headset:
     id: str
-    resolutions: tuple[tuple[int, int], ...]  # strictly increasing pixel count
-    frame_rates: tuple[int, ...]  # Hz, strictly increasing
+    # strictly increasing pixel count
+    resolutions: tuple[tuple[int, int], ...] = field(default=(), metadata=_POSITIVE)
+    frame_rates: tuple[int, ...] = field(default=(), metadata=_POSITIVE)  # Hz, strictly increasing
 
 
 @dataclass(frozen=True)
@@ -96,57 +115,57 @@ class Game:
 @dataclass(frozen=True)
 class VirtualObject:
     id: str
-    pixel_share: float  # fraction of the frame the object occupies
-    attention: float  # fraction of user attention on the object
+    pixel_share: float = field(metadata=_UNIT)  # fraction of the frame the object occupies
+    attention: float = field(metadata=_UNIT)  # fraction of user attention on the object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class User:
     id: str
-    position: tuple[float, float]
-    height_m: float
+    position: tuple[float, float] = field(metadata=_FINITE)
+    height_m: float = field(default=1.5, metadata=_NON_NEGATIVE)
     headset: str
     game: str
-    objects: tuple[VirtualObject, ...]
-    frame_arrival_rate: float  # frames/s entering the serving BS queue
-    speed_mps: float = 0.0
-    heading_rad: float = 0.0
+    objects: tuple[VirtualObject, ...] = ()
+    frame_arrival_rate: float = field(metadata=_POSITIVE)  # frames/s into the serving BS queue
+    speed_mps: float = field(default=0.0, metadata=_NON_NEGATIVE)
+    heading_rad: float = field(default=0.0, metadata=_FINITE)
 
 
 @dataclass(frozen=True)
 class BaseStation:
     id: str
-    position: tuple[float, float]
-    total_prbs: int
-    usable_prbs: int  # PRBs left after background traffic
-    prb_bandwidth_hz: float
-    tx_power_dbm: float
-    processing_capacity_bps: float  # frame processing speed, bits/s
-    frame_capacity_fps: float  # queue service rate, frames/s
+    position: tuple[float, float] = field(metadata=_FINITE)
+    total_prbs: int = field(metadata=_POSITIVE)
+    usable_prbs: int = field(metadata=_POSITIVE)  # PRBs left after background traffic
+    prb_bandwidth_hz: float = field(metadata=_POSITIVE)
+    tx_power_dbm: float = field(metadata=_FINITE)
+    processing_capacity_bps: float = field(metadata=_POSITIVE)  # frame processing, bits/s
+    frame_capacity_fps: float = field(metadata=_POSITIVE)  # queue service rate, frames/s
     channel_id: int
-    coverage_radius_m: float
+    coverage_radius_m: float = field(metadata=_POSITIVE)
     nearest_cn: str
 
 
 @dataclass(frozen=True)
 class ResourceCosts:
-    gpu: float
-    cpu: float
-    ram: float
-    net: float
+    gpu: float = field(metadata=_NON_NEGATIVE)
+    cpu: float = field(metadata=_NON_NEGATIVE)
+    ram: float = field(metadata=_NON_NEGATIVE)
+    net: float = field(metadata=_NON_NEGATIVE)
 
 
 @dataclass(frozen=True)
 class ComputeNode:
     id: str
     tier: str  # "edge", "regional" or "cloud"
-    position: tuple[float, float]
-    gpu_cap: float  # rendered pixels/s
-    cpu_cap: float  # frames/s
-    ram_cap: float  # resident pixels
-    net_cap: float  # bits/s
-    render_speed_pps: float  # pixels/s the renderer sustains
-    fixed_cost: float
+    position: tuple[float, float] = field(metadata=_FINITE)
+    gpu_cap: float = field(metadata=_POSITIVE)  # rendered pixels/s
+    cpu_cap: float = field(metadata=_POSITIVE)  # frames/s
+    ram_cap: float = field(metadata=_POSITIVE)  # resident pixels
+    net_cap: float = field(metadata=_POSITIVE)  # bits/s
+    render_speed_pps: float = field(metadata=_POSITIVE)  # pixels/s the renderer sustains
+    fixed_cost: float = field(metadata=_NON_NEGATIVE)
     unit_costs: ResourceCosts
 
 
@@ -154,8 +173,8 @@ class ComputeNode:
 class Link:
     src: str
     dst: str
-    capacity_bps: float
-    latency_s: float
+    capacity_bps: float = field(metadata=_POSITIVE)
+    latency_s: float = field(metadata=_NON_NEGATIVE)
 
     @property
     def id(self) -> str:
@@ -174,18 +193,18 @@ class Path:
 
 @dataclass(frozen=True)
 class RadioParams:
-    carrier_ghz: float = 3.5
-    noise_density_dbm_hz: float = -174.0
-    los_threshold_m: float = 50.0
-    speed_of_light_mps: float = 3.0e8
-    bits_per_pixel: float = 24.0
-    compression_rate: float = 0.01
-    tti_s: float = 5.0e-4
-    ttis_per_window: int = 2000
-    max_connections: int = 3
-    epsilon: float = 0.05  # minimum flow fraction per selected path
-    migration_unit_cost: float = 5.0
-    k_paths: int = 3
+    carrier_ghz: float = field(default=3.5, metadata=_POSITIVE)
+    noise_density_dbm_hz: float = field(default=-174.0, metadata=_FINITE)
+    los_threshold_m: float = field(default=50.0, metadata=_NON_NEGATIVE)
+    speed_of_light_mps: float = field(default=3.0e8, metadata=_POSITIVE)
+    bits_per_pixel: float = field(default=24.0, metadata=_POSITIVE)
+    compression_rate: float = field(default=0.01, metadata=_POSITIVE)
+    tti_s: float = field(default=5.0e-4, metadata=_POSITIVE)
+    ttis_per_window: int = field(default=2000, metadata=_POSITIVE)
+    max_connections: int = field(default=3, metadata=_POSITIVE)
+    epsilon: float = 0.05  # minimum flow fraction per selected path, in [0, 1)
+    migration_unit_cost: float = field(default=5.0, metadata=_NON_NEGATIVE)
+    k_paths: int = field(default=3, metadata=_POSITIVE)
     deadline_s: float | None = None  # None means one frame period (1/fps)
 
     @property
@@ -204,10 +223,11 @@ def pixels(resolution: tuple[int, int]) -> int:
     return resolution[0] * resolution[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Scenario:
-    seed: int
-    area_m: tuple[float, float]
+    seed: int = field(metadata=_NON_NEGATIVE)
+    # None: the extent the base stations cover
+    area_m: tuple[float, float] | None = field(default=None, metadata=_POSITIVE)
     radio: RadioParams
     users: tuple[User, ...]
     base_stations: tuple[BaseStation, ...]
@@ -215,12 +235,18 @@ class Scenario:
     links: tuple[Link, ...]
     headsets: tuple[Headset, ...]
     games: tuple[Game, ...]
+    # derived state, left out of comparison and of the config
     paths_by_bs_cn: dict[tuple[str, str], tuple[Path, ...]] = field(
         compare=False, repr=False, default_factory=dict
     )
     _lookup: dict = field(compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
+        if self.area_m is None:
+            object.__setattr__(self, "area_m", tuple(
+                max((b.position[i] + b.coverage_radius_m for b in self.base_stations), default=1.0)
+                for i in (0, 1)
+            ))
         lk = {
             "user": {u.id: u for u in self.users},
             "bs": {b.id: b for b in self.base_stations},
@@ -327,16 +353,6 @@ def enumerate_paths(
     return tuple(out)
 
 
-def _build_paths(scenario_links, base_stations, compute_nodes, k) -> dict:
-    paths = {}
-    for b in base_stations:
-        for c in compute_nodes:
-            ps = enumerate_paths(scenario_links, b.id, c.id, k)
-            if ps:
-                paths[(b.id, c.id)] = ps
-    return paths
-
-
 # ---------------------------------------------------------------------------
 # Synthetic generation
 
@@ -350,19 +366,7 @@ _DEFAULTS = {
     "processing_capacity_bps": 1e9,
     "frame_capacity_fps": 1e5,
     "shared_channel": False,
-    "carrier_ghz": 3.5,
-    "noise_density_dbm_hz": -174.0,
-    "los_threshold_m": 50.0,
-    "speed_of_light_mps": 3.0e8,
-    "bits_per_pixel": 24.0,
-    "compression_rate": 0.01,
-    "tti_s": 5.0e-4,
-    "ttis_per_window": 2000,
-    "max_connections": 3,
-    "epsilon": 0.05,
-    "migration_unit_cost": 5.0,
-    "k_paths": 3,
-    "deadline_s": None,
+    **{f.name: f.default for f in fields(RadioParams)},
     "objects_per_user": 5,
     "quality_fraction": 0.5,
     "user_height_m": 1.5,
@@ -439,22 +443,6 @@ def generate_synthetic(
     rows = math.ceil(n_bs / cols)
     if w / cols < 1.0 or h / rows < 1.0:
         raise ValueError("area too small to place the requested base stations")
-
-    radio = RadioParams(
-        carrier_ghz=p["carrier_ghz"],
-        noise_density_dbm_hz=p["noise_density_dbm_hz"],
-        los_threshold_m=p["los_threshold_m"],
-        speed_of_light_mps=p["speed_of_light_mps"],
-        bits_per_pixel=p["bits_per_pixel"],
-        compression_rate=p["compression_rate"],
-        tti_s=p["tti_s"],
-        ttis_per_window=int(p["ttis_per_window"]),
-        max_connections=int(p["max_connections"]),
-        epsilon=p["epsilon"],
-        migration_unit_cost=p["migration_unit_cost"],
-        k_paths=int(p["k_paths"]),
-        deadline_s=p["deadline_s"],
-    )
 
     usable = (
         int(p["usable_prbs"])
@@ -559,19 +547,20 @@ def generate_synthetic(
             )
         )
 
+    errs: list[str] = []
+    radio = _codec(RadioParams).load({f.name: p[f.name] for f in fields(RadioParams)}, errs, "radio")
     if p["headset_catalog"] is None:
         headsets, hs_weights = default_headsets()
     else:
         headsets = tuple(
-            Headset(
-                id=hd["id"],
-                resolutions=tuple(tuple(r) for r in hd["resolutions"]),
-                frame_rates=tuple(hd["frame_rates"]),
-            )
+            _codec(Headset).load(
+                {k: v for k, v in hd.items() if k != "weight"}, errs, f"headset {hd.get('id')}")
             for hd in p["headset_catalog"]
         )
         raw = [hd.get("weight", 1.0) for hd in p["headset_catalog"]]
         hs_weights = tuple(x / sum(raw) for x in raw)
+    if errs:
+        raise ScenarioError(errs)
     games = default_games(int(p["n_games"]))
     quality_games = [g for g in games if g.preference_mode == "quality"]
     perf_games = [g for g in games if g.preference_mode == "performance"]
@@ -613,7 +602,7 @@ def generate_synthetic(
             )
         )
 
-    sc = Scenario(
+    return _checked(Scenario(
         seed=seed,
         area_m=(w, h),
         radio=radio,
@@ -623,12 +612,190 @@ def generate_synthetic(
         links=links_t,
         headsets=headsets,
         games=games,
-        paths_by_bs_cn=_build_paths(links_t, bss, cns, radio.k_paths),
-    )
-    problems = validate_scenario(sc)
-    if problems:
-        raise ScenarioError(problems)
-    return sc
+    ))
+
+
+# ---------------------------------------------------------------------------
+# Schema: the dataclass fields drive loading, serialisation and field checks
+
+# What a violation calls the entries of each collection.
+_KIND = {
+    User: "user", VirtualObject: "object", BaseStation: "bs", ComputeNode: "cn",
+    Link: "link", Headset: "headset", Game: "game",
+}
+
+
+def _wrong(errs: list[str], label: str, name: str, what: str, v) -> None:
+    errs.append(f"{_at(label)}{name} must be {what}, got {v!r:.60}")
+
+
+# the JSON types each scalar field type takes (bool is not int here)
+_SCALARS = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string")}
+
+
+def _join(label: str, part: str) -> str:
+    return f"{label} {part}" if label else part
+
+
+def _at(label: str) -> str:
+    return f"{label}: " if label else ""
+
+
+def _ident(d, i: int) -> str:
+    """How a violation names the i-th entry of a config list (a link by its ends)."""
+    if type(d) is dict and "id" in d:
+        return d["id"]
+    return f"{d['src']}->{d['dst']}" if type(d) is dict and {"src", "dst"} <= d.keys() else f"#{i}"
+
+
+def _field_codec(tp):
+    """(load, dump, child) of one field type.
+
+    load(value, errs, label, name) returns the field value and reports a
+    wrong JSON type to errs. dump is None where the value is JSON as it is.
+    child is (codec, one per tuple entry) for a field of schema objects.
+    """
+    if tp in _SCALARS:
+        json_types, what = _SCALARS[tp]
+
+        def load(v, errs, label, name):
+            if type(v) in json_types:
+                return tp(v)
+            _wrong(errs, label, name, what, v)
+
+        return load, None, None
+    if is_dataclass(tp):
+        sub = _codec(tp)
+
+        def load(v, errs, label, name):
+            return sub.load(v, errs, _join(label, name))
+
+        return load, sub.dump, (sub, False)
+    args = get_args(tp)
+    if get_origin(tp) in (Union, UnionType):  # X | None
+        load, dump, child = _field_codec(next(a for a in args if a is not type(None)))
+        return (lambda v, *where: None if v is None else load(v, *where)), dump, child
+    # tuple[X, ...] or a fixed-length tuple[X, X]
+    size = None if args[-1] is Ellipsis else len(args)
+    what = "a list" if size is None else f"a list of {size}"
+    if is_dataclass(args[0]):
+        sub = _codec(args[0])
+
+        def load(v, errs, label, name):
+            if type(v) is not list:
+                return _wrong(errs, label, name, what, v)
+            prefix = _join(label, sub.kind)
+            return tuple([sub.load(x, errs, f"{prefix} {_ident(x, i)}") for i, x in enumerate(v)])
+
+        return load, lambda v: [sub.dump(x) for x in v], (sub, True)
+    item, item_dump, _ = _field_codec(args[0])
+
+    def load(v, errs, label, name):
+        if type(v) is not list or (size is not None and len(v) != size):
+            return _wrong(errs, label, name, what, v)
+        return tuple([item(x, errs, label, name) for x in v])
+
+    return load, (list if item_dump is None else lambda v: [item_dump(x) for x in v]), None
+
+
+def _keeps(rule: str, vals: list) -> bool:
+    """Whether every number in vals, numbers or tuples of them, keeps the rule.
+
+    An interval rule that holds for the least and the largest of finite
+    numbers holds for all of them.
+    """
+    keeps = _RULES[rule]
+    try:
+        while vals and type(vals[0]) is tuple:
+            vals = [x for v in vals for x in v]
+        # a finite sum is the cheap proof that every entry is finite; a sum can overflow
+        finite = math.isfinite(sum(vals)) or all(map(math.isfinite, vals))
+        return not vals or (finite and keeps(min(vals)) and keeps(max(vals)))
+    except (TypeError, OverflowError):  # not all numbers, or an int past the float range
+        return False
+
+
+class _Codec:
+    """Loads, dumps and checks one schema dataclass; built once per class."""
+
+    def __init__(self, cls):
+        hints = get_type_hints(cls)
+        own = [f for f in fields(cls) if f.compare]
+        self.cls = cls
+        self.kind = _KIND.get(cls, "")
+        self.names = frozenset(f.name for f in own)
+        self.required = frozenset(
+            f.name for f in own if f.default is MISSING and f.default_factory is MISSING
+        )
+        self.specs = tuple((f.name, *_field_codec(hints[f.name])) for f in own)
+        self.rules = tuple(
+            (attrgetter(f.name), f.name, f.metadata["rule"]) for f in own if "rule" in f.metadata
+        )
+        self.children = tuple(
+            (attrgetter(name), name, *child) for name, _, _, child in self.specs if child
+        )
+
+    def load(self, d, errs: list[str], label: str):
+        """One instance from its config object, or None if it has problems."""
+        if type(d) is not dict:
+            errs.append(f"{_at(label)}must be an object, got {d!r:.60}")
+            return None
+        before = len(errs)
+        kw = {}
+        for name, load, _, _ in self.specs:
+            if name in d:
+                kw[name] = load(d[name], errs, label, name)
+        if d.keys() != self.names:
+            errs.extend(
+                f"{_at(label)}missing key {name}"
+                for name, *_ in self.specs
+                if name in self.required and name not in d
+            )
+            errs.extend(f"{_at(label)}unknown key {k!r}" for k in d if k not in self.names)
+        return self.cls(**kw) if len(errs) == before else None
+
+    def dump(self, obj) -> dict:
+        out = {}
+        for name, _, dump, _ in self.specs:
+            v = getattr(obj, name)
+            out[name] = v if dump is None else dump(v)
+        return out
+
+    def check(self, items, labels, out: list[str], cols: dict) -> None:
+        """Report every field value of items that breaks its rule, then recurse.
+
+        labels() names the items; it is called only when something breaks.
+        The values read go to cols[cls, field name], in item order.
+        """
+        for get, name, rule in self.rules:
+            vals = cols[self.cls, name] = list(map(get, items))
+            if not _keeps(rule, vals):  # one pass over the column clears the common case
+                out.extend(
+                    f"{_at(lb)}{name} must be {rule}, got {v!r}"
+                    for lb, v in zip(labels(), vals)
+                    if not _keeps(rule, [v])
+                )
+        for get, name, sub, many in self.children:
+            if many:
+                kids = [k for it in items for k in get(it)]
+
+                def kid_labels(get=get, sub=sub):
+                    return [
+                        _join(lb, f"{sub.kind} {k.id}")
+                        for lb, it in zip(labels(), items)
+                        for k in get(it)
+                    ]
+            else:
+                kids = list(map(get, items))
+
+                def kid_labels(name=name):
+                    return [_join(lb, name) for lb in labels()]
+            sub.check(kids, kid_labels, out, cols)
+
+
+@functools.cache
+def _codec(cls) -> _Codec:
+    return _Codec(cls)
 
 
 # ---------------------------------------------------------------------------
@@ -636,56 +803,47 @@ def generate_synthetic(
 
 
 def validate_scenario(sc: Scenario) -> list[str]:
-    """Collect every constraint violation instead of stopping at the first."""
+    """Collect every constraint violation instead of stopping at the first.
+
+    The per-field rules come from the dataclass fields; the checks here
+    relate several fields or objects to each other.
+    """
     out: list[str] = []
+    cols: dict = {}
+    _codec(Scenario).check((sc,), lambda: ("",), out, cols)
     w, h = sc.area_m
-    if w <= 0 or h <= 0:
-        out.append("area_m: both dimensions must be positive")
     r = sc.radio
     if not 0 <= r.epsilon < 1:
-        out.append(f"radio.epsilon: {r.epsilon} outside [0, 1)")
-    if r.max_connections < 1:
-        out.append("radio.max_connections: must be >= 1")
-    if r.tti_s <= 0 or r.ttis_per_window < 1:
-        out.append("radio numerology: tti_s must be positive and ttis_per_window >= 1")
-    if r.k_paths < 1:
-        out.append("radio.k_paths: must be >= 1")
+        out.append(f"radio: epsilon must be in [0, 1), got {r.epsilon!r}")
+    if r.deadline_s is not None and not 0 < r.deadline_s < math.inf:
+        out.append(f"radio: deadline_s must be positive or null, got {r.deadline_s!r}")
 
-    seen = set()
-    for kind, items in (
-        ("user", sc.users),
-        ("bs", sc.base_stations),
-        ("cn", sc.compute_nodes),
-        ("headset", sc.headsets),
-        ("game", sc.games),
-    ):
-        for it in items:
+    seen = set()  # ids are unique across every collection
+    for get, _, sub, many in _codec(Scenario).children:
+        for it in get(sc) if many else ():
             if it.id in seen:
-                out.append(f"{kind} {it.id}: duplicate id")
+                out.append(f"{sub.kind} {it.id}: duplicate id")
             seen.add(it.id)
 
     for hs in sc.headsets:
-        if not hs.resolutions:
-            out.append(f"headset {hs.id}: resolutions missing or empty")
-        else:
-            px = [pixels(res) for res in hs.resolutions]
-            if any(b <= a for a, b in zip(px, px[1:])):
-                out.append(f"headset {hs.id}: resolutions not strictly increasing by pixel count")
-        if not hs.frame_rates:
-            out.append(f"headset {hs.id}: frame_rates missing or empty")
-        elif any(b <= a for a, b in zip(hs.frame_rates, hs.frame_rates[1:])):
-            out.append(f"headset {hs.id}: frame_rates not strictly increasing")
+        for name, seq in (
+            ("resolutions", [pixels(res) for res in hs.resolutions]),
+            ("frame_rates", hs.frame_rates),
+        ):
+            if not seq:
+                out.append(f"headset {hs.id}: {name} missing or empty")
+            elif any(b <= a for a, b in zip(seq, seq[1:])):
+                out.append(f"headset {hs.id}: {name} not strictly increasing")
 
     for g in sc.games:
         if g.preference_mode not in ("quality", "performance"):
             out.append(f"game {g.id}: preference_mode must be quality or performance")
 
+    cn_ids = {c.id for c in sc.compute_nodes}
     for b in sc.base_stations:
-        if b.usable_prbs < 1 or b.usable_prbs > b.total_prbs:
-            out.append(f"bs {b.id}: usable_prbs must be in [1, total_prbs]")
-        if b.prb_bandwidth_hz <= 0:
-            out.append(f"bs {b.id}: prb_bandwidth_hz must be positive")
-        if b.nearest_cn not in {c.id for c in sc.compute_nodes}:
+        if b.usable_prbs > b.total_prbs:
+            out.append(f"bs {b.id}: usable_prbs must not exceed total_prbs")
+        if b.nearest_cn not in cn_ids:
             out.append(f"bs {b.id}: nearest_cn {b.nearest_cn} unknown")
         if not (0 <= b.position[0] <= w and 0 <= b.position[1] <= h):
             out.append(f"bs {b.id}: position outside the scenario area")
@@ -693,18 +851,16 @@ def validate_scenario(sc: Scenario) -> list[str]:
     for c in sc.compute_nodes:
         if c.tier not in _CN_TIERS:
             out.append(f"cn {c.id}: unknown tier {c.tier}")
-        if min(c.gpu_cap, c.cpu_cap, c.ram_cap, c.net_cap, c.render_speed_pps) <= 0:
-            out.append(f"cn {c.id}: capacities and render speed must be positive")
 
-    node_ids = {b.id for b in sc.base_stations} | {c.id for c in sc.compute_nodes}
+    node_ids = {b.id for b in sc.base_stations} | cn_ids
     for ln in sc.links:
-        if ln.src not in node_ids or ln.dst not in node_ids:
-            out.append(f"link {ln.id}: endpoint not a known bs/cn node")
-        if ln.capacity_bps <= 0 or ln.latency_s < 0:
-            out.append(f"link {ln.id}: capacity must be positive and latency non-negative")
+        for end in ("src", "dst"):
+            if getattr(ln, end) not in node_ids:
+                out.append(f"link {ln.id}: {end} is not a known bs/cn node")
 
     headset_ids = {hs.id for hs in sc.headsets}
     game_ids = {g.id for g in sc.games}
+    cells = [(*b.position, b.coverage_radius_m) for b in sc.base_stations]
     for u in sc.users:
         if u.headset not in headset_ids:
             out.append(f"user {u.id}: unknown headset {u.headset}")
@@ -712,109 +868,35 @@ def validate_scenario(sc: Scenario) -> list[str]:
             out.append(f"user {u.id}: unknown game {u.game}")
         if not (0 <= u.position[0] <= w and 0 <= u.position[1] <= h):
             out.append(f"user {u.id}: position outside the scenario area")
-        if not any(
-            distance(u.position, b.position) <= b.coverage_radius_m for b in sc.base_stations
-        ):
-            out.append(f"user {u.id}: outside coverage of every base station")
-        if u.objects:
-            for s_name, total in (
-                ("pixel_share", sum(o.pixel_share for o in u.objects)),
-                ("attention", sum(o.attention for o in u.objects)),
-            ):
-                if abs(total - 1.0) > 1e-9:
-                    out.append(f"user {u.id}: object {s_name} sums to {total:.12f}, expected 1")
-        if u.frame_arrival_rate <= 0:
-            out.append(f"user {u.id}: frame_arrival_rate must be positive")
+        x, y = u.position  # the distance() arithmetic, without a call per cell
+        if not any(math.hypot(x - bx, y - by) <= radius for bx, by, radius in cells):
+            out.append(f"user {u.id}: position outside coverage of every base station")
+    for s_name in ("pixel_share", "attention"):  # each user's object shares sum to 1
+        col, start = cols[VirtualObject, s_name], 0
+        for u in sc.users:
+            end = start + len(u.objects)
+            total = sum(col[start:end])
+            if end > start and abs(total - 1.0) > 1e-9:
+                out.append(f"user {u.id}: object {s_name} sums to {total:.12f}, expected 1")
+            start = end
     return out
 
 
+def _checked(sc: Scenario) -> Scenario:
+    """sc once it validates, with its crosshaul routes enumerated."""
+    problems = validate_scenario(sc)
+    if problems:
+        raise ScenarioError(problems)
+    for b in sc.base_stations:
+        for c in sc.compute_nodes:
+            ps = enumerate_paths(sc.links, b.id, c.id, sc.radio.k_paths)
+            if ps:
+                sc.paths_by_bs_cn[(b.id, c.id)] = ps
+    return sc
+
+
 def scenario_to_config(sc: Scenario) -> dict:
-    r = sc.radio
-    return {
-        "seed": sc.seed,
-        "area_m": list(sc.area_m),
-        "radio": {
-            "carrier_ghz": r.carrier_ghz,
-            "noise_density_dbm_hz": r.noise_density_dbm_hz,
-            "los_threshold_m": r.los_threshold_m,
-            "speed_of_light_mps": r.speed_of_light_mps,
-            "bits_per_pixel": r.bits_per_pixel,
-            "compression_rate": r.compression_rate,
-            "tti_s": r.tti_s,
-            "ttis_per_window": r.ttis_per_window,
-            "max_connections": r.max_connections,
-            "epsilon": r.epsilon,
-            "migration_unit_cost": r.migration_unit_cost,
-            "k_paths": r.k_paths,
-            "deadline_s": r.deadline_s,
-        },
-        "base_stations": [
-            {
-                "id": b.id,
-                "position": list(b.position),
-                "total_prbs": b.total_prbs,
-                "usable_prbs": b.usable_prbs,
-                "prb_bandwidth_hz": b.prb_bandwidth_hz,
-                "tx_power_dbm": b.tx_power_dbm,
-                "processing_capacity_bps": b.processing_capacity_bps,
-                "frame_capacity_fps": b.frame_capacity_fps,
-                "channel_id": b.channel_id,
-                "coverage_radius_m": b.coverage_radius_m,
-                "nearest_cn": b.nearest_cn,
-            }
-            for b in sc.base_stations
-        ],
-        "compute_nodes": [
-            {
-                "id": c.id,
-                "tier": c.tier,
-                "position": list(c.position),
-                "gpu_cap": c.gpu_cap,
-                "cpu_cap": c.cpu_cap,
-                "ram_cap": c.ram_cap,
-                "net_cap": c.net_cap,
-                "render_speed_pps": c.render_speed_pps,
-                "fixed_cost": c.fixed_cost,
-                "unit_costs": {
-                    "gpu": c.unit_costs.gpu,
-                    "cpu": c.unit_costs.cpu,
-                    "ram": c.unit_costs.ram,
-                    "net": c.unit_costs.net,
-                },
-            }
-            for c in sc.compute_nodes
-        ],
-        "links": [
-            {"src": ln.src, "dst": ln.dst, "capacity_bps": ln.capacity_bps, "latency_s": ln.latency_s}
-            for ln in sc.links
-        ],
-        "headsets": [
-            {
-                "id": hs.id,
-                "resolutions": [list(res) for res in hs.resolutions],
-                "frame_rates": list(hs.frame_rates),
-            }
-            for hs in sc.headsets
-        ],
-        "games": [{"id": g.id, "preference_mode": g.preference_mode} for g in sc.games],
-        "users": [
-            {
-                "id": u.id,
-                "position": list(u.position),
-                "height_m": u.height_m,
-                "headset": u.headset,
-                "game": u.game,
-                "frame_arrival_rate": u.frame_arrival_rate,
-                "speed_mps": u.speed_mps,
-                "heading_rad": u.heading_rad,
-                "objects": [
-                    {"id": o.id, "pixel_share": o.pixel_share, "attention": o.attention}
-                    for o in u.objects
-                ],
-            }
-            for u in sc.users
-        ],
-    }
+    return _codec(Scenario).dump(sc)
 
 
 def scenario_to_json(sc: Scenario) -> str:
@@ -822,113 +904,16 @@ def scenario_to_json(sc: Scenario) -> str:
 
 
 def load_scenario(text: str) -> Scenario:
-    """Parse and validate a scenario config document (JSON text)."""
+    """Parse a scenario config document (JSON text), check its types, validate."""
     try:
         cfg = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:
         raise ScenarioError([f"config is not valid JSON: {e}"]) from e
-    missing = [
-        k
-        for k in ("radio", "base_stations", "compute_nodes", "links", "users", "headsets", "games", "seed")
-        if k not in cfg
-    ]
-    if missing:
-        raise ScenarioError([f"missing top-level key {k}" for k in missing])
-    try:
-        radio = RadioParams(**cfg["radio"])
-        headsets = tuple(
-            Headset(
-                id=hd["id"],
-                resolutions=tuple(tuple(res) for res in hd.get("resolutions", ())),
-                frame_rates=tuple(hd.get("frame_rates", ())),
-            )
-            for hd in cfg["headsets"]
-        )
-        games = tuple(Game(id=g["id"], preference_mode=g["preference_mode"]) for g in cfg["games"])
-        bss = tuple(
-            BaseStation(
-                id=b["id"],
-                position=tuple(b["position"]),
-                total_prbs=int(b["total_prbs"]),
-                usable_prbs=int(b["usable_prbs"]),
-                prb_bandwidth_hz=float(b["prb_bandwidth_hz"]),
-                tx_power_dbm=float(b["tx_power_dbm"]),
-                processing_capacity_bps=float(b["processing_capacity_bps"]),
-                frame_capacity_fps=float(b["frame_capacity_fps"]),
-                channel_id=int(b["channel_id"]),
-                coverage_radius_m=float(b["coverage_radius_m"]),
-                nearest_cn=b["nearest_cn"],
-            )
-            for b in cfg["base_stations"]
-        )
-        cns = tuple(
-            ComputeNode(
-                id=c["id"],
-                tier=c["tier"],
-                position=tuple(c["position"]),
-                gpu_cap=float(c["gpu_cap"]),
-                cpu_cap=float(c["cpu_cap"]),
-                ram_cap=float(c["ram_cap"]),
-                net_cap=float(c["net_cap"]),
-                render_speed_pps=float(c["render_speed_pps"]),
-                fixed_cost=float(c["fixed_cost"]),
-                unit_costs=ResourceCosts(**c["unit_costs"]),
-            )
-            for c in cfg["compute_nodes"]
-        )
-        links = tuple(
-            Link(
-                src=ln["src"],
-                dst=ln["dst"],
-                capacity_bps=float(ln["capacity_bps"]),
-                latency_s=float(ln["latency_s"]),
-            )
-            for ln in cfg["links"]
-        )
-        users = tuple(
-            User(
-                id=u["id"],
-                position=tuple(u["position"]),
-                height_m=float(u.get("height_m", 1.5)),
-                headset=u["headset"],
-                game=u["game"],
-                objects=tuple(
-                    VirtualObject(
-                        id=o["id"], pixel_share=float(o["pixel_share"]), attention=float(o["attention"])
-                    )
-                    for o in u.get("objects", ())
-                ),
-                frame_arrival_rate=float(u["frame_arrival_rate"]),
-                speed_mps=float(u.get("speed_mps", 0.0)),
-                heading_rad=float(u.get("heading_rad", 0.0)),
-            )
-            for u in cfg["users"]
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise ScenarioError([f"malformed config entry: {e!r}"]) from e
-
-    if "area_m" in cfg:
-        area = (float(cfg["area_m"][0]), float(cfg["area_m"][1]))
-    else:
-        xs = [b.position[0] + b.coverage_radius_m for b in bss] or [1.0]
-        ys = [b.position[1] + b.coverage_radius_m for b in bss] or [1.0]
-        area = (max(xs), max(ys))
-    sc = Scenario(
-        seed=int(cfg["seed"]),
-        area_m=area,
-        radio=radio,
-        users=users,
-        base_stations=bss,
-        compute_nodes=cns,
-        links=links,
-        headsets=headsets,
-        games=games,
-        paths_by_bs_cn=_build_paths(links, bss, cns, radio.k_paths),
-    )
-    problems = validate_scenario(sc)
-    if problems:
-        raise ScenarioError(problems)
-    return sc
+    errs: list[str] = []
+    sc = _codec(Scenario).load(cfg, errs, "")
+    if errs:
+        raise ScenarioError(errs)
+    return _checked(sc)
 
 
 # ---------------------------------------------------------------------------

@@ -41,22 +41,7 @@ def make_scenario(
     cfg = {
         "seed": seed,
         "area_m": list(area),
-        "radio": {
-            "carrier_ghz": 3.5,
-            "noise_density_dbm_hz": -174.0,
-            "los_threshold_m": 50.0,
-            "speed_of_light_mps": 3.0e8,
-            "bits_per_pixel": 24.0,
-            "compression_rate": 0.01,
-            "tti_s": 5.0e-4,
-            "ttis_per_window": 2000,
-            "max_connections": 3,
-            "epsilon": 0.05,
-            "migration_unit_cost": 5.0,
-            "k_paths": 3,
-            "deadline_s": None,
-            **(radio or {}),
-        },
+        "radio": radio or {},
         "base_stations": [
             {
                 "total_prbs": 56,
