@@ -118,10 +118,8 @@ class LatencyBreakdown:
 def routing_latency_s(sc: Scenario, bs: BaseStation, cn_id: str | None = None) -> float:
     """Best crosshaul route latency from the rendering node to the BS."""
     cid = cn_id if cn_id is not None else bs.nearest_cn
-    ps = sc.paths(bs.id, cid)
-    if not ps:
-        return math.inf
-    return min(pth.latency_s for pth in ps)
+    ps = sc.paths(bs.id, cid)  # fastest first
+    return ps[0].latency_s if ps else math.inf
 
 
 def render_latency_s(sc: Scenario, resolution: tuple[int, int], fps: float, cn_id: str) -> float:

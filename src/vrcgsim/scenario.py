@@ -10,6 +10,7 @@ solvers never mutate them.
 from __future__ import annotations
 
 import functools
+import heapq
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
@@ -276,26 +277,14 @@ class Scenario:
         return self.paths_by_bs_cn.get((bs_id, cn_id), ())
 
     def hop_distance(self, cn_a: str, cn_b: str) -> int:
-        """Crosshaul hop count between two compute nodes (BFS, unweighted)."""
-        if cn_a == cn_b:
-            return 0
+        """Crosshaul hop count between two compute nodes; ValueError if no route joins them."""
         key = (cn_a, cn_b) if cn_a < cn_b else (cn_b, cn_a)
         cache = self._lookup["hops"]
         if key not in cache:
-            adj: dict[str, list[str]] = {}
-            for ln in self.links:
-                adj.setdefault(ln.src, []).append(ln.dst)
-            seen = {key[0]: 0}
-            frontier = [key[0]]
-            while frontier and key[1] not in seen:
-                nxt = []
-                for node in frontier:
-                    for peer in adj.get(node, ()):
-                        if peer not in seen:
-                            seen[peer] = seen[node] + 1
-                            nxt.append(peer)
-                frontier = nxt
-            cache[key] = seen.get(key[1], -1)
+            route = _best_route(_adjacency(self.links), (0, key[:1]), key[1], lambda ln: 1)
+            if route is None:
+                raise ValueError(f"no crosshaul route between cn {cn_a} and cn {cn_b}")
+            cache[key] = route[0]
         return cache[key]
 
 
@@ -304,7 +293,37 @@ def distance(a: tuple[float, float], b: tuple[float, float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Path enumeration
+# Route search
+
+
+def _adjacency(links) -> dict[str, dict[str, Link]]:
+    adj: dict[str, dict[str, Link]] = {}  # node -> {next node: the link there}
+    for ln in links:
+        adj.setdefault(ln.src, {})[ln.dst] = ln
+    return adj
+
+
+def _best_route(adj, root, dst, weight=attrgetter("latency_s")):
+    """The least (cost, nodes) simple route extending root = (cost, nodes) to dst, or None.
+
+    Costs add weight(link) left to right. A node skips a label at a cost it has
+    expanded (its nodes sort later) but expands each distinct cost within a
+    relative 1e-12 of its best, as sums apart by rounding alone can tie later.
+    """
+    heap = [root]
+    expanded: dict[str, list] = {}  # node -> costs expanded there, least first
+    while heap:
+        cost, nodes = heapq.heappop(heap)
+        if nodes[-1] == dst:
+            return cost, nodes
+        costs = expanded.setdefault(nodes[-1], [])
+        if cost in costs or (costs and cost > costs[0] * (1 + 1e-12)):
+            continue
+        costs.append(cost)
+        for nxt, ln in adj.get(nodes[-1], {}).items():
+            if nxt not in nodes:
+                heapq.heappush(heap, (cost + weight(ln), nodes + (nxt,)))
+    return None
 
 
 def enumerate_paths(
@@ -312,45 +331,29 @@ def enumerate_paths(
 ) -> tuple[Path, ...]:
     """Up to k loop-free crosshaul routes from compute node to base station.
 
-    Routes are enumerated exhaustively over simple paths and sorted by
-    (latency, node-id sequence) so the result is deterministic regardless of
-    link ordering in the input.
+    Yen's k-shortest loopless paths (Yen, Management Science 1971): exactly the
+    first k simple routes in (latency, node-id sequence) order, whatever the
+    order of the links, with no step limit.
     """
     if k <= 0:
         raise ValueError("k must be positive")
-    adj: dict[str, list[Link]] = {}
-    for ln in links:
-        adj.setdefault(ln.src, []).append(ln)
-    for outs in adj.values():
-        outs.sort(key=lambda ln: (ln.dst, ln.latency_s))
-    found: list[tuple[float, tuple[str, ...], tuple[Link, ...]]] = []
-    budget = 20000  # guard against pathological meshes
-
-    def walk(node: str, seen: set[str], hops: list[Link]):
-        nonlocal budget
-        if budget <= 0:
-            return
-        budget -= 1
-        if node == bs:
-            lat = sum(ln.latency_s for ln in hops)
-            nodes = (cn,) + tuple(ln.dst for ln in hops)
-            found.append((lat, nodes, tuple(hops)))
-            return
-        for ln in adj.get(node, ()):
-            if ln.dst in seen:
-                continue
-            seen.add(ln.dst)
-            hops.append(ln)
-            walk(ln.dst, seen, hops)
-            hops.pop()
-            seen.remove(ln.dst)
-
-    walk(cn, {cn}, [])
-    found.sort(key=lambda t: (t[0], t[1]))
-    out = []
-    for i, (lat, nodes, hops) in enumerate(found[:k]):
-        out.append(Path(id=f"{cn}->{bs}#{i}", cn=cn, bs=bs, links=hops, latency_s=lat, nodes=nodes))
-    return tuple(out)
+    adj = _adjacency(links)
+    first = _best_route(adj, (0.0, (cn,)), bs)
+    candidates, routes = [] if first is None else [first], []
+    while candidates and len(routes) < k:
+        lat, nodes = heapq.heappop(candidates)
+        hops = tuple(adj[a][b] for a, b in zip(nodes, nodes[1:]))
+        routes.append(Path(f"{cn}->{bs}#{len(routes)}", cn, bs, hops, lat, nodes))
+        cost = 0.0
+        for i in range(len(hops) if len(routes) < k else 0):
+            # leave at node i by a link that no route found so far takes from this prefix
+            taken = {r.nodes[i + 1] for r in routes if r.nodes[: i + 1] == nodes[: i + 1]}
+            spur_adj = {**adj, nodes[i]: {n: ln for n, ln in adj[nodes[i]].items() if n not in taken}}
+            spur = _best_route(spur_adj, (cost, nodes[: i + 1]), bs)
+            if spur is not None and spur not in candidates:
+                heapq.heappush(candidates, spur)
+            cost += hops[i].latency_s
+    return tuple(routes)
 
 
 # ---------------------------------------------------------------------------
@@ -857,6 +860,12 @@ def validate_scenario(sc: Scenario) -> list[str]:
         for end in ("src", "dst"):
             if getattr(ln, end) not in node_ids:
                 out.append(f"link {ln.id}: {end} is not a known bs/cn node")
+    # every compute node reaches the first and back, so every pair has a hop distance
+    adj = _adjacency(sc.links)
+    for c in sc.compute_nodes[1:]:
+        for a, b in ((c.id, sc.compute_nodes[0].id), (sc.compute_nodes[0].id, c.id)):
+            if _best_route(adj, (0, (a,)), b, lambda ln: 1) is None:
+                out.append(f"cn {a}: no crosshaul route to cn {b}")
 
     headset_ids = {hs.id for hs in sc.headsets}
     game_ids = {g.id for g in sc.games}

@@ -16,7 +16,6 @@ from .scenario import ComputeNode, Scenario, pixels
 from .stage1 import Stage1Solution, Violation
 
 _REL_TOL = 1e-9
-_ONE = (1.0, 1.0, 1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -30,19 +29,16 @@ class DemandProfile:
     net: float  # bits/s, the user's full stage-1 traffic load
 
 
-def demand_profile(
-    sc: Scenario, stage1: Stage1Solution, uid: str, coefficients=_ONE
-) -> DemandProfile:
+def demand_profile(sc: Scenario, stage1: Stage1Solution, uid: str) -> DemandProfile:
     res = stage1.resolution[uid]
     fps = stage1.frame_rate[uid]
     px = pixels(res)
-    cg, cc, cm, cn = coefficients
     return DemandProfile(
         user=uid,
-        gpu=cg * px * fps,
-        cpu=cc * fps,
-        ram=cm * px,
-        net=cn * traffic_load_bps(sc, 1.0, res, fps),
+        gpu=float(px * fps),
+        cpu=float(fps),
+        ram=float(px),
+        net=traffic_load_bps(sc, 1.0, res, fps),
     )
 
 
@@ -222,7 +218,6 @@ def gepar(
     stage1: Stage1Solution,
     prev_placement: dict[str, str] | None = None,
     k_paths: int | None = None,
-    coefficients=_ONE,
 ) -> Stage2Solution:
     """Greedy placement; pinned users go first, cheapest viable node wins.
 
@@ -244,10 +239,7 @@ def gepar(
         "sc": sc,
         "stage1": stage1,
         "columns": stage1_columns(sc, stage1),
-        "demand": {
-            uid: demand_profile(sc, stage1, uid, coefficients)
-            for uid in stage1.admitted
-        },
+        "demand": {uid: demand_profile(sc, stage1, uid) for uid in stage1.admitted},
     }
     ledger = _Ledger(sc)
 

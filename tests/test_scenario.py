@@ -1,6 +1,7 @@
 """Scenario construction, validation, config round-trip and mobility."""
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -140,21 +141,98 @@ def test_enumerate_paths_orders_by_latency_then_nodes():
     assert paths[0].id == "cn0->bs9#0"
 
 
-def test_enumerate_paths_matches_exhaustive_enumeration():
-    """Cross-check the DFS against brute-force simple-path enumeration."""
-    links = diamond_links()
-    nodes = sorted({ln.src for ln in links} | {ln.dst for ln in links})
+def _left_to_right(latencies) -> float:
+    total = 0.0
+    for lat in latencies:
+        total += lat
+    return total
+
+
+# Latencies that tie exactly (equal values) and only up to rounding
+# (0.1 + 0.2 and 0.3, 0.1 + 0.2 + 0.3 and 0.6), zero included.
+_TIED_LATENCIES = st.sampled_from((0.0, 0.1, 0.2, 0.3, 0.6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    names=st.lists(st.sampled_from("abcdefgh"), min_size=2, max_size=7, unique=True),
+)
+def test_enumerate_paths_matches_exhaustive_enumeration(data, names):
+    """Every route of a small digraph, against sorting all its simple paths."""
+    pairs = [(a, b) for a in names for b in names if a != b]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    links = [
+        Link(src=a, dst=b, capacity_bps=1e9, latency_s=data.draw(_TIED_LATENCIES))
+        for a, b in chosen
+    ]
+    links = data.draw(st.permutations(links))  # the input order must not matter
+    src, dst = names[0], names[-1]
     latency = {(ln.src, ln.dst): ln.latency_s for ln in links}
     expected = []
-    inner = [n for n in nodes if n not in ("cn0", "bs9")]
-    for k in range(len(inner) + 1):
-        for mid in itertools.permutations(inner, k):
-            seq = ("cn0",) + mid + ("bs9",)
-            if all((a, b) in latency for a, b in zip(seq, seq[1:])):
-                expected.append((sum(latency[(a, b)] for a, b in zip(seq, seq[1:])), seq))
+    inner = names[1:-1]
+    for n in range(len(inner) + 1):
+        for mid in itertools.permutations(inner, n):
+            seq = (src, *mid, dst)
+            hops = list(zip(seq, seq[1:]))
+            if all(h in latency for h in hops):
+                expected.append((_left_to_right(latency[h] for h in hops), seq))
     expected.sort()
-    paths = enumerate_paths(links, "bs9", "cn0", len(expected))
-    assert [(p.latency_s, p.nodes) for p in paths] == expected
+    k = data.draw(st.integers(min_value=1, max_value=len(expected) + 1))
+    paths = enumerate_paths(links, dst, src, k)
+    assert [(p.latency_s, p.nodes) for p in paths] == expected[:k]
+    for p in paths:
+        assert [(ln.src, ln.dst) for ln in p.links] == list(zip(p.nodes, p.nodes[1:]))
+
+
+def test_routes_on_an_80_cell_ring_are_the_shortest():
+    """The generator's 80-cell, 90-node crosshaul, against networkx."""
+    nx = pytest.importorskip("networkx")
+    links = []
+
+    def pair(a, b, lat):
+        links.extend(Link(src=s, dst=d, capacity_bps=1e10, latency_s=lat)
+                     for s, d in ((a, b), (b, a)))
+
+    for i in range(80):
+        pair(f"cn{i}", f"cn{(i + 1) % 80}", 2e-4)
+        pair(f"cn{i}", f"bs{i}", 5e-5)
+    for j in range(9):  # regional nodes cn80..cn88 on two opposite ring anchors
+        anchor = j * 80 // 9
+        pair(f"cn{80 + j}", f"cn{anchor}", 5e-4)
+        pair(f"cn{80 + j}", f"cn{(anchor + 40) % 80}", 5e-4)
+        pair("cn89", f"cn{80 + j}", 1e-3)  # the cloud node
+    graph = nx.DiGraph()
+    graph.add_weighted_edges_from(((ln.src, ln.dst, ln.latency_s) for ln in links), "lat")
+    for cn, bs in (("cn0", "bs79"), ("cn20", "bs79"), ("cn85", "bs79"), ("cn89", "bs40")):
+        paths = enumerate_paths(links, bs, cn, 3)
+        ref = itertools.islice(nx.shortest_simple_paths(graph, cn, bs, weight="lat"), 3)
+        ref_lat = [nx.path_weight(graph, seq, "lat") for seq in ref]
+        assert [p.latency_s for p in paths] == pytest.approx(ref_lat, rel=1e-12)
+
+
+def test_routes_on_a_uniform_grid_come_fast_and_in_node_order():
+    """A 20 x 20 grid of equal links: every shortest route ties on latency."""
+    n = 20
+
+    def node(r, c):
+        return f"g{r * n + c:03d}"
+
+    links = [
+        Link(src=a, dst=b, capacity_bps=1e9, latency_s=1e-4)
+        for r in range(n) for c in range(n)
+        for r2, c2 in ((r, c + 1), (r + 1, c)) if r2 < n and c2 < n
+        for a, b in ((node(r, c), node(r2, c2)), (node(r2, c2), node(r, c)))
+    ]
+    start = time.perf_counter()
+    paths = enumerate_paths(links, node(n - 1, n - 1), node(0, 0), 5)
+    assert time.perf_counter() - start < 10.0
+    assert [p.latency_s for p in paths] == [_left_to_right([1e-4] * (2 * n - 2))] * 5
+    assert [p.nodes for p in paths] == sorted(p.nodes for p in paths)
+    # the least node sequence runs along the first row, then down the last column
+    assert paths[0].nodes == tuple(node(0, c) for c in range(n)) + tuple(
+        node(r, n - 1) for r in range(1, n)
+    )
 
 
 def test_enumerate_paths_respects_k():

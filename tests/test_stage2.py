@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import BIG, make_scenario, tiny_scenario
 from vrcgsim.radio import latency_breakdown
-from vrcgsim.scenario import generate_synthetic
+from vrcgsim.scenario import ScenarioError, generate_synthetic
 from vrcgsim.stage1 import vexa
 from vrcgsim.stage2 import (
     Stage2Solution,
@@ -160,6 +161,32 @@ def test_migration_cost_counts_ring_hops():
     assert migration_cost(sc, "cnA", "cnB") == 5.0
     assert migration_cost(sc, "cnA", "cnA") == 0.0
     assert migration_cost(sc, None, "cnC") == 0.0
+
+
+def test_nodes_without_a_route_between_them_are_rejected_not_paid_to_move():
+    """Both nodes feed bs0 one way only, so there is no hop count to price a move by."""
+    with pytest.raises(ScenarioError) as err:
+        make_scenario(
+            users=[{"id": "u0", "position": [1008.0, 1000.0], "game": "gq"}],
+            base_stations=[{"id": "bs0", "position": [1000.0, 1000.0], "nearest_cn": "cnA"}],
+            compute_nodes=[
+                {"id": "cnA", "position": [1000.0, 1000.0]},
+                {"id": "cnB", "position": [1500.0, 1000.0]},
+            ],
+            links=[
+                {"src": cid, "dst": "bs0", "capacity_bps": 10e9, "latency_s": 5e-5}
+                for cid in ("cnA", "cnB")
+            ],
+        )
+    assert err.value.violations == [
+        "cn cnB: no crosshaul route to cn cnA",
+        "cn cnA: no crosshaul route to cn cnB",
+    ]
+    # a scenario built past validation cannot price the move either
+    line = line_topology()
+    sc = replace(line, links=tuple(ln for ln in line.links if ln.dst == "bs0"))
+    with pytest.raises(ValueError, match="no crosshaul route"):
+        migration_cost(sc, "cnA", "cnB")
 
 
 def test_staying_put_beats_paying_migration():
