@@ -1,7 +1,7 @@
 """Hand-built scenario configs for targeted solver tests."""
 import json
 
-from vrcgsim.scenario import generate_synthetic, load_scenario
+from vrcgsim.scenario import generate_synthetic, load_scenario, scenario_to_json
 
 BIG = 1e15  # effectively unconstrained capacity
 
@@ -109,3 +109,19 @@ def tiny_scenario(seed, n_users=3, n_bs=2, n_cns=2, **over):
     } | over
     return generate_synthetic(seed, n_users, n_bs, n_cns,
                               area_m=(600.0, 600.0), overrides=overrides)
+
+
+def mobility_scenario():
+    """250 users on the paper city, set up so relocation is a real choice."""
+    # remote tiers tight enough that rerouting matters, activation fees
+    # low enough that placements spread across tiers instead of piling
+    # onto one node; relocation then only happens when a solver picks it
+    over = {"regional_cap_bps": 6e8, "cloud_cap_bps": 8e8,
+            "migration_unit_cost": 5.0}
+    sc = generate_synthetic(seed=42, n_users=250, n_bs=10, n_cns=13,
+                            overrides=over)
+    cfg = json.loads(scenario_to_json(sc))
+    fees = {"edge": 10.0, "regional": 8.0, "cloud": 6.0}
+    for cn in cfg["compute_nodes"]:
+        cn["fixed_cost"] = fees[cn["tier"]]
+    return load_scenario(json.dumps(cfg))

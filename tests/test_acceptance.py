@@ -13,11 +13,12 @@ import time
 
 import pytest
 
+from helpers import mobility_scenario as _mobility_scenario
 from helpers import tiny_scenario
 from vrcgsim import metrics
 from vrcgsim.cli import main
 from vrcgsim.oracle import exact_stage1, exact_stage2, exact_stage3
-from vrcgsim.scenario import generate_synthetic, load_scenario, scenario_to_json
+from vrcgsim.scenario import generate_synthetic
 from vrcgsim.stage1 import total_qoe_stage1, vexa
 from vrcgsim.stage2 import gepar, total_cost
 from vrcgsim.stage3 import (
@@ -83,21 +84,6 @@ def schedule_sweep():
         ms_mtp = statistics.mean(mtp_latency(ms, sc, s1).average_s.values())
         out[n] = (rr_mtp, ms_mtp, _grant_usage(sc, rr), _grant_usage(sc, ms))
     return out
-
-
-def _mobility_scenario():
-    # remote tiers tight enough that rerouting matters, activation fees
-    # low enough that placements spread across tiers instead of piling
-    # onto one node; relocation then only happens when a solver picks it
-    over = {"regional_cap_bps": 6e8, "cloud_cap_bps": 8e8,
-            "migration_unit_cost": 5.0}
-    sc = generate_synthetic(seed=42, n_users=250, n_bs=10, n_cns=13,
-                            overrides=over)
-    cfg = json.loads(scenario_to_json(sc))
-    fees = {"edge": 10.0, "regional": 8.0, "cloud": 6.0}
-    for cn in cfg["compute_nodes"]:
-        cn["fixed_cost"] = fees[cn["tier"]]
-    return load_scenario(json.dumps(cfg))
 
 
 def test_every_solution_verifies_across_the_sweep(feasibility_sweep):

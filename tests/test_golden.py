@@ -10,7 +10,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from helpers import tiny_scenario
+from helpers import mobility_scenario, tiny_scenario
 from vrcgsim.metrics import METHODS, emit, run_experiment, solutions_to_doc
 from vrcgsim.scenario import generate_synthetic
 
@@ -39,6 +39,14 @@ def _tiny():
             "golden_tiny.sha256": _digest(sc, sols) + "\n"}
 
 
+def _mobility():
+    sc = mobility_scenario()
+    reports, sols = run_experiment(sc, ["gepar", "single_path", "unconstrained"],
+                                   timesteps=10, collect_solutions=True)
+    return {"golden_mobility.csv": emit(reports, "csv"),
+            "golden_mobility.sha256": _digest(sc, sols) + "\n"}
+
+
 def _check(outputs: dict[str, str]):
     for name, text in outputs.items():
         assert text == (DATA / name).read_text(), f"{name} differs from the pinned output"
@@ -54,8 +62,13 @@ def test_tiny_run_matches_pinned_output():
     _check(_tiny())
 
 
+def test_mobility_run_matches_pinned_output():
+    """The acceptance mobility city: chained placements over 10 steps."""
+    _check(_mobility())
+
+
 if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
-    for outputs in (_city(), _tiny()):
+    for outputs in (_city(), _tiny(), _mobility()):
         for name, text in outputs.items():
             (DATA / name).write_text(text)
