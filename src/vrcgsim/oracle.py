@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from .radio import fixed_latency_s, frame_bits, link_tables, traffic_load_bps
 from .scenario import Scenario, distance, pixels
 from .stage1 import Stage1Solution, grant_pool, verify_stage1
-from .stage2 import (
-    Stage2Solution,
-    demand_profile,
-    stage1_columns,
-    variable_cost,
-    verify_stage2,
-)
+from .stage2 import Stage2Solution, stage2_inputs, variable_cost, verify_stage2
 from .stage3 import ResMap
 
 
@@ -219,8 +213,8 @@ def exact_stage2(
         return empty, 0.0
     _check_dimensions(sc, bounds, estimate)
 
-    columns = stage1_columns(sc, stage1)
-    demands = {uid: demand_profile(sc, stage1, uid) for uid in users}
+    inputs = stage2_inputs(sc, stage1)
+    columns, demands = inputs.columns, inputs.demand
     eps = sc.radio.epsilon
     cn_ids = [c.id for c in sc.compute_nodes]
 

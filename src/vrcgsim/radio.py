@@ -127,17 +127,16 @@ def render_latency_s(sc: Scenario, resolution: tuple[int, int], fps: float, cn_i
 
 
 def _fixed_parts(
-    sc: Scenario, user: User, bs: BaseStation, resolution: tuple[int, int],
-    fps: float, cn_id: str,
+    sc: Scenario, user: User, bs: BaseStation, resolution: tuple[int, int], fps: float
 ) -> tuple[float, float, float, float]:
     """Routing, render, propagation and frame processing of one column.
 
     These are the parts of a column that neither grants nor the queue
-    change; the frame is rendered at cn_id.
+    change; the frame is rendered at the cell's nearest node.
     """
     return (
-        routing_latency_s(sc, bs, cn_id),
-        render_latency_s(sc, resolution, fps, cn_id),
+        routing_latency_s(sc, bs),
+        render_latency_s(sc, resolution, fps, bs.nearest_cn),
         distance(user.position, bs.position) / sc.radio.speed_of_light_mps,
         frame_bits(sc, resolution) / bs.processing_capacity_bps,
     )
@@ -151,7 +150,7 @@ def fixed_latency_s(
     Summed in the order _fixed_parts lists them; each caller adds its own
     air-time and queueing terms on top.
     """
-    return sum(_fixed_parts(sc, user, bs, resolution, fps, bs.nearest_cn))
+    return sum(_fixed_parts(sc, user, bs, resolution, fps))
 
 
 def buffer_latency_s(bs: BaseStation, arrival_fps: float) -> float:
@@ -170,7 +169,6 @@ def latency_breakdown(
     fps: float,
     prbs_per_bs: dict[str, int],
     arrivals_fps: dict[str, float],
-    cn_for_bs: dict[str, str] | None = None,
 ) -> LatencyBreakdown:
     """Six-part frame latency; the slowest serving base station binds.
 
@@ -184,9 +182,7 @@ def latency_breakdown(
     best: LatencyBreakdown | None = None
     for bid in serving:
         bs = sc.bs(bid)
-        routing, render, propagation, processing = _fixed_parts(
-            sc, user, bs, resolution, fps, (cn_for_bs or {}).get(bid, bs.nearest_cn)
-        )
+        routing, render, propagation, processing = _fixed_parts(sc, user, bs, resolution, fps)
         grants = prbs_per_bs.get(bid, 0)
         if grants <= 0:
             tx = math.inf

@@ -929,12 +929,14 @@ def load_scenario(text: str) -> Scenario:
 # Mobility
 
 
-def step_positions(sc: Scenario, step_index: int, step_seconds: float = 1.0) -> Scenario:
-    """Advance every user one mobility step (seeded waypoint walk).
+def step_positions(sc: Scenario, step_index: int) -> Scenario:
+    """Advance every user one second of mobility (seeded waypoint walk).
 
     Users move along their heading at their speed class; a step that would
     leave the area or all coverage is replaced by a seeded heading change, so
     the in-coverage invariant is preserved. Deterministic in (seed, step).
+    Links do not move, so the new scenario keeps the routes and hop counts
+    found so far.
     """
     rng = np.random.default_rng((sc.seed, 0x6D0B, step_index))
     w, h = sc.area_m
@@ -945,8 +947,8 @@ def step_positions(sc: Scenario, step_index: int, step_seconds: float = 1.0) -> 
         if u.speed_mps <= 0:
             moved.append(replace(u, heading_rad=heading))
             continue
-        nx = u.position[0] + u.speed_mps * step_seconds * math.cos(heading)
-        ny = u.position[1] + u.speed_mps * step_seconds * math.sin(heading)
+        nx = u.position[0] + u.speed_mps * math.cos(heading)
+        ny = u.position[1] + u.speed_mps * math.sin(heading)
         nx = min(max(nx, 0.0), w)
         ny = min(max(ny, 0.0), h)
         covered = any(
@@ -956,4 +958,6 @@ def step_positions(sc: Scenario, step_index: int, step_seconds: float = 1.0) -> 
             moved.append(replace(u, position=(nx, ny), heading_rad=heading))
         else:
             moved.append(replace(u, heading_rad=(heading + math.pi) % (2 * math.pi)))
-    return replace(sc, users=tuple(moved), paths_by_bs_cn=sc.paths_by_bs_cn)
+    stepped = replace(sc, users=tuple(moved), paths_by_bs_cn=sc.paths_by_bs_cn)
+    stepped._lookup["hops"] = sc._lookup["hops"]
+    return stepped

@@ -49,8 +49,9 @@ class Stage1Solution:
     assoc lists serving cells in the user's preference order; prbs counts
     PRB-TTI grants over the scheduling window; share is the fraction of the
     video stream each serving cell carries (equal split). _memo keeps
-    what later stages derive from this solution alone (stage 3 keeps its
-    grant layout there), so it lives and dies with the timestep's solution.
+    what later stages derive from this solution alone (stage 2 keeps its
+    input table there, stage 3 its grant layout), so it lives and dies with
+    the timestep's solution.
     """
 
     assoc: dict[str, tuple[str, ...]]
@@ -97,9 +98,8 @@ def total_qoe_stage1(sc: Scenario, solution: Stage1Solution) -> float:
 class _Ctx:
     """Per-scenario caches: candidate ranking and capacities."""
 
-    def __init__(self, sc: Scenario, n_max: int):
+    def __init__(self, sc: Scenario):
         self.sc = sc
-        self.n = n_max
         self.lt = lt = link_tables(sc)
         self.cands: dict[str, list[str]] = {}
         self.rank: dict[str, dict[str, int]] = {}
@@ -284,7 +284,7 @@ def vexa(sc: Scenario, max_connections: int | None = None) -> Stage1Solution:
     unadmitted. Deterministic for a given scenario.
     """
     n = max_connections if max_connections is not None else sc.radio.max_connections
-    ctx = _Ctx(sc, n)
+    ctx = _Ctx(sc)
     st = _State(ctx)
     rng = np.random.default_rng((sc.seed, 0xA55))
     remaining = [sc.users[i].id for i in rng.permutation(len(sc.users))]
@@ -307,7 +307,7 @@ def vexa(sc: Scenario, max_connections: int | None = None) -> Stage1Solution:
         remaining = failed
         if not remaining:
             break
-    return maximize_qoe(st.to_solution(), sc, max_connections=n)
+    return maximize_qoe(st.to_solution(), sc)
 
 
 def baseline_single_association(sc: Scenario) -> Stage1Solution:
@@ -373,9 +373,7 @@ def _try_upgrade(ctx: _Ctx, st: _State, uid: str) -> bool:
     return True
 
 
-def maximize_qoe(
-    solution: Stage1Solution, sc: Scenario, max_connections: int | None = None
-) -> Stage1Solution:
+def maximize_qoe(solution: Stage1Solution, sc: Scenario) -> Stage1Solution:
     """Raise selections one rung at a time, most-dissatisfied user first.
 
     Each round sorts admitted users by the gap between their best achievable
@@ -383,8 +381,7 @@ def maximize_qoe(
     point where no single upgrade stays feasible. Upgrades only ever move
     selections up.
     """
-    n = max_connections if max_connections is not None else sc.radio.max_connections
-    ctx = _Ctx(sc, n)
+    ctx = _Ctx(sc)
     st = _state_from_solution(ctx, solution)
     changed = True
     while changed:

@@ -5,7 +5,9 @@ for each serving cell, downlink routes from that node. Placement trades
 activation, per-resource and migration cost against the latency budget left
 over from stage 1: moving a user's engine swaps only the routing term of
 their latency columns, so a cheaper distant node is fine exactly when the
-stage-1 slack covers the extra route latency.
+stage-1 slack covers the extra route latency. The solvers, verify_stage2,
+total_cost and the oracle read stage 1 through one Stage2Inputs table per
+timestep, kept on the stage-1 solution (stage2_inputs).
 """
 from __future__ import annotations
 
@@ -80,17 +82,18 @@ def total_cost(
     prev_placement: dict[str, str] | None = None,
 ) -> CostBreakdown:
     prev = prev_placement or {}
+    demand = stage2_inputs(sc, stage1).demand
     fixed = sum(sc.cn(cid).fixed_cost for cid in solution.active_cns)
     variable = 0.0
     migration = 0.0
     for uid, cid in solution.placement.items():
-        variable += variable_cost(sc.cn(cid), demand_profile(sc, stage1, uid))
+        variable += variable_cost(sc.cn(cid), demand[uid])
         migration += migration_cost(sc, prev.get(uid), cid)
     return CostBreakdown(fixed, variable, migration)
 
 
 # ---------------------------------------------------------------------------
-# Stage-1 latency columns
+# Stage-2 inputs: stage-1 latency columns and demands
 
 
 def stage1_columns(
@@ -115,6 +118,24 @@ def stage1_columns(
             )
             out[(uid, bid)] = (lb.total_s, lb.routing_s)
     return out
+
+
+@dataclass(frozen=True)
+class Stage2Inputs:
+    """What stage 2 reads of one stage-1 solution."""
+
+    columns: dict[tuple[str, str], tuple[float, float]]  # stage1_columns
+    demand: dict[str, DemandProfile]  # per admitted user
+
+
+def stage2_inputs(sc: Scenario, stage1: Stage1Solution) -> Stage2Inputs:
+    """The timestep's table, built on first use and kept on stage1."""
+    kept = stage1._memo.get("stage2_inputs")
+    if kept is None or kept[0] is not sc:
+        columns = stage1_columns(sc, stage1)
+        demand = {uid: demand_profile(sc, stage1, uid) for uid in stage1.admitted}
+        kept = stage1._memo["stage2_inputs"] = (sc, Stage2Inputs(columns, demand))
+    return kept[1]
 
 
 # ---------------------------------------------------------------------------
@@ -181,15 +202,15 @@ def _split_flow(used: dict[str, float], paths, load_bps: float, eps: float):
     return taken
 
 
-def _route_user(ctx, ledger, uid, cid, k, eps):
+def _route_user(
+    sc: Scenario, stage1: Stage1Solution, inputs: Stage2Inputs,
+    ledger: _Ledger, uid: str, cid: str, k: int, eps: float,
+):
     """Pick flows for every serving cell of uid toward cid, or None.
 
     On success returns (plan, link_add) where plan maps path id to fraction;
     nothing is committed to the ledger.
     """
-    sc = ctx["sc"]
-    stage1 = ctx["stage1"]
-    columns = ctx["columns"]
     plan: dict[str, float] = {}
     link_add: dict[str, float] = {}
     shadow_used = dict(ledger.link_used)
@@ -197,11 +218,11 @@ def _route_user(ctx, ledger, uid, cid, k, eps):
         paths = sc.paths(bid, cid)[:k]
         if not paths:
             return None
-        load = stage1.share[(uid, bid)] * ctx["demand"][uid].net
+        load = stage1.share[(uid, bid)] * inputs.demand[uid].net
         taken = _split_flow(shadow_used, paths, load, eps)
         if taken is None:
             return None
-        col, route = columns[(uid, bid)]
+        col, route = inputs.columns[(uid, bid)]
         worst = max(p.latency_s for p, _ in taken)
         fps = stage1.frame_rate[uid]
         if col - route + worst > sc.radio.deadline_for(fps) + 1e-12:
@@ -235,12 +256,7 @@ def gepar(
     prev = prev_placement or {}
     k = k_paths if k_paths is not None else sc.radio.k_paths
     eps = sc.radio.epsilon if k > 1 else 1.0
-    ctx = {
-        "sc": sc,
-        "stage1": stage1,
-        "columns": stage1_columns(sc, stage1),
-        "demand": {uid: demand_profile(sc, stage1, uid) for uid in stage1.admitted},
-    }
+    inputs = stage2_inputs(sc, stage1)
     ledger = _Ledger(sc)
 
     placement: dict[str, str] = {}
@@ -249,74 +265,61 @@ def gepar(
     active: set[str] = set()
     unplaced: set[str] = set()
 
-    def marginal(cn: ComputeNode, uid: str, with_fixed: bool) -> float:
-        cost = variable_cost(cn, ctx["demand"][uid]) + migration_cost(
-            sc, prev.get(uid), cn.id
-        )
-        if with_fixed:
-            cost += cn.fixed_cost
-        return cost
-
+    # per user: the viable nodes by (price when off, worst fastest route,
+    # id), and each one's price once it is on
     prefs_of: dict[str, list[tuple[float, float, str]]] = {}
+    price_of: dict[str, dict[str, float]] = {}
     for uid in stage1.admitted:
-        serving = stage1.assoc[uid]
-        fps = stage1.frame_rate[uid]
-        deadline = sc.radio.deadline_for(fps) + 1e-12
-        prefs: list[tuple[float, float, str]] = []
+        deadline = sc.radio.deadline_for(stage1.frame_rate[uid]) + 1e-12
+        prefs_of[uid] = prefs = []
+        price_of[uid] = price = {}
         for c in sc.compute_nodes:
             worst_best = 0.0
-            ok = True
-            for bid in serving:
+            for bid in stage1.assoc[uid]:
                 paths = sc.paths(bid, c.id)[:k]
-                if not paths:
-                    ok = False
-                    break
-                col, route = ctx["columns"][(uid, bid)]
-                if col - route + paths[0].latency_s > deadline:
-                    ok = False
+                col, route = inputs.columns[(uid, bid)]
+                if not paths or col - route + paths[0].latency_s > deadline:
                     break
                 worst_best = max(worst_best, paths[0].latency_s)
-            if ok:
-                prefs.append((marginal(c, uid, with_fixed=True), worst_best, c.id))
+            else:
+                price[c.id] = variable_cost(c, inputs.demand[uid]) + migration_cost(
+                    sc, prev.get(uid), c.id
+                )
+                prefs.append((price[c.id] + c.fixed_cost, worst_best, c.id))
         prefs.sort()
-        prefs_of[uid] = prefs
 
     # users pinned to few nodes place first so flexible ones gather around
     # them; within a tier the heaviest renderers go first
     order = sorted(
         stage1.admitted,
-        key=lambda uid: (len(prefs_of[uid]), -ctx["demand"][uid].gpu, uid),
+        key=lambda uid: (len(prefs_of[uid]), -inputs.demand[uid].gpu, uid),
     )
 
     for uid in order:
+        price = price_of[uid]
+        d = inputs.demand[uid]
         queue = [cid for _, _, cid in prefs_of[uid]]
-        pref_set = set(queue)
         tested: set[str] = set()
-        placed = False
-        while queue and not placed:
+        while queue:
             cid = queue.pop(0)
             if cid not in active:
                 # an active node whose marginal price undercuts a fresh
                 # activation takes over; the popped candidate stays next
+                fresh = price[cid] + sc.cn(cid).fixed_cost
                 swaps = [
-                    (marginal(sc.cn(n), uid, with_fixed=False), n)
+                    (price[n], n)
                     for n in active
-                    if n != cid
-                    and n not in tested
-                    and n in pref_set
-                    and marginal(sc.cn(cid), uid, with_fixed=True) >= marginal(sc.cn(n), uid, with_fixed=False)
+                    if n not in tested and n in price and fresh >= price[n]
                 ]
                 if swaps:
-                    swaps.sort()
                     queue.insert(0, cid)
-                    cid = swaps[0][1]
+                    cid = min(swaps)[1]
             if cid in tested:
                 continue
             tested.add(cid)
-            cn = sc.cn(cid)
-            if not ledger.fits(cn, ctx["demand"][uid]):
+            if not ledger.fits(sc.cn(cid), d):
                 continue
-            routed = _route_user(ctx, ledger, uid, cid, k, eps)
+            routed = _route_user(sc, stage1, inputs, ledger, uid, cid, k, eps)
             if routed is None:
                 continue
             plan, link_add = routed
@@ -324,12 +327,12 @@ def gepar(
                 flow[(uid, pid)] = frac
             selected[uid] = tuple(sorted(plan))
             placement[uid] = cid
-            ledger.occupy(cid, ctx["demand"][uid])
+            ledger.occupy(cid, d)
             for lid, add in link_add.items():
                 ledger.link_used[lid] += add
             active.add(cid)
-            placed = True
-        if not placed:
+            break
+        else:
             unplaced.add(uid)
 
     return Stage2Solution(
@@ -369,14 +372,9 @@ def baseline_unconstrained(
     w_cap, w_lat = penalty_weights
     if w_cap < 0 or w_lat < 0:
         raise ValueError("penalty weights must be non-negative")
-    ctx = {
-        "sc": sc,
-        "stage1": stage1,
-        "columns": stage1_columns(sc, stage1),
-        "demand": {uid: demand_profile(sc, stage1, uid) for uid in stage1.admitted},
-    }
+    inputs = stage2_inputs(sc, stage1)
     ledger = _Ledger(sc)
-    order = sorted(stage1.admitted, key=lambda uid: (-ctx["demand"][uid].gpu, uid))
+    order = sorted(stage1.admitted, key=lambda uid: (-inputs.demand[uid].gpu, uid))
 
     placement: dict[str, str] = {}
     selected: dict[str, tuple[str, ...]] = {}
@@ -386,7 +384,7 @@ def baseline_unconstrained(
 
     for uid in order:
         serving = stage1.assoc[uid]
-        d = ctx["demand"][uid]
+        d = inputs.demand[uid]
         fps = stage1.frame_rate[uid]
         deadline = sc.radio.deadline_for(fps)
         best: tuple[float, str] | None = None
@@ -414,7 +412,7 @@ def baseline_unconstrained(
                         overflow += max(
                             0.0, (ledger.link_used[ln.id] + load - room) / room
                         )
-                col, route = ctx["columns"][(uid, bid)]
+                col, route = inputs.columns[(uid, bid)]
                 excess += max(0.0, (col - route + first.latency_s - deadline) / deadline)
             score = money + w_cap * overflow + w_lat * excess
             if best is None or (score, c.id) < best:
@@ -423,7 +421,6 @@ def baseline_unconstrained(
             unplaced.add(uid)
             continue
         cid = best[1]
-        cn = sc.cn(cid)
         placement[uid] = cid
         active.add(cid)
         ledger.occupy(cid, d)
@@ -458,6 +455,7 @@ def verify_stage2(
     claims to have placed is checked in full.
     """
     out: list[Violation] = []
+    inputs = stage2_inputs(sc, stage1)
     cn_ids = {c.id for c in sc.compute_nodes}
     placed = set(solution.placement)
 
@@ -475,7 +473,7 @@ def verify_stage2(
     for uid, cid in solution.placement.items():
         if cid not in cn_ids or uid not in stage1.admitted:
             continue
-        d = demand_profile(sc, stage1, uid)
+        d = inputs.demand[uid]
         for i, n in enumerate((d.gpu, d.cpu, d.ram, d.net)):
             totals[cid][i] += n
     for c in sc.compute_nodes:
@@ -489,7 +487,6 @@ def verify_stage2(
         return out
 
     # routing structure, conservation and flow floors
-    columns = stage1_columns(sc, stage1)
     eps = sc.radio.epsilon
     link_load: dict[str, float] = {ln.id: 0.0 for ln in sc.links}
     by_user: dict[str, dict[str, float]] = {}
@@ -516,12 +513,12 @@ def verify_stage2(
             for pid, frac in mine.items():
                 if frac < eps - 1e-9:
                     out.append(Violation("routing", uid, f"flow {frac:.4f} on {pid} under minimum"))
-            load = stage1.share[(uid, bid)] * demand_profile(sc, stage1, uid).net
+            load = stage1.share[(uid, bid)] * inputs.demand[uid].net
             for pid, frac in mine.items():
                 for ln in paths[pid].links:
                     link_load[ln.id] += frac * load
             worst = max(paths[pid].latency_s for pid in mine)
-            col, route = columns[(uid, bid)]
+            col, route = inputs.columns[(uid, bid)]
             if col - route + worst > deadline:
                 out.append(
                     Violation("deadline", uid, f"stage-2 latency via {bid} exceeds budget")

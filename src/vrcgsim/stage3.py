@@ -56,7 +56,7 @@ class MtpReport:
     """Motion-to-photon latency per frame and per user."""
 
     average_s: dict[str, float]
-    samples: dict[str, tuple[float, ...]]
+    samples: dict[str, np.ndarray]  # read-only views into one array of all frames
     truncated: frozenset[str]  # users with frames still queued at window end
 
 
@@ -538,14 +538,17 @@ def mtp_latency(
         ptr[act] = at
         out[first_frame[act] + i] = done - born + fixed[act]
 
-    values = out.tolist()
-    average: dict[str, float] = {}
-    samples: dict[str, tuple[float, ...]] = {}
-    for u, lo, count in zip(users, offset, n_frames):
-        samples[u.id] = mine = tuple(values[lo:lo + count])
-        average[u.id] = sum(mine) / count
+    # each user's frames summed left to right (cumsum never reorders),
+    # zero-padded to a common length
+    grid = np.zeros((len(users), max(n_frames)))
+    grid[np.repeat(np.arange(len(users)), n_frames),
+         np.arange(len(out)) - np.repeat(first_frame, n_frames)] = out
+    average = np.cumsum(grid, axis=1, out=grid)[:, -1] / frames
+    out.flags.writeable = False
     return MtpReport(
-        average, samples, frozenset(u.id for u, t in zip(users, truncated) if t)
+        dict(zip([u.id for u in users], average.tolist())),
+        {u.id: out[lo:lo + count] for u, lo, count in zip(users, offset, n_frames)},
+        frozenset(u.id for u, t in zip(users, truncated) if t),
     )
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from helpers import tiny_scenario
 from vrcgsim.cli import main
@@ -113,3 +117,27 @@ def test_infeasible_placement_exits_1(tmp_path, capsys):
     assert main(["run", str(sc_path), "--methods", "vexa,gepar"]) == 0
     assert main(["run", str(sc_path), "--methods", "vexa,oracle_stage2"]) == 1
     capsys.readouterr()
+
+
+def test_cli_needs_no_library_but_numpy(tmp_path):
+    """generate, run and verify with the test-only libraries unimportable."""
+    script = (
+        "import sys\n"
+        "for name in ('scipy', 'networkx', 'hypothesis', 'pytest'):\n"
+        "    sys.modules[name] = None\n"
+        "from vrcgsim.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    sc, sols = tmp_path / "sc.json", tmp_path / "sols.json"
+    for args in (
+        ["generate", *RUN, "--out", str(sc)],
+        ["run", str(sc), "--methods", "vexa,gepar,amps,mtpsched",
+         "--out", str(tmp_path / "out.csv"), "--solutions", str(sols)],
+        ["verify", str(sc), str(sols)],
+    ):
+        done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, (args[0], done.stderr)

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vrcgsim import scenario
+from vrcgsim.metrics import run_experiment
 from vrcgsim.scenario import (
     RESOLUTION_LADDER,
     Link,
@@ -268,6 +270,22 @@ def test_mobility_steps_differ():
     movers = [u.id for u in sc.users if u.speed_mps > 0]
     assert movers, "scenario should contain moving users"
     assert scenario_to_json(a) != scenario_to_json(b)
+
+
+def test_hop_counts_outlive_a_mobility_step(monkeypatch):
+    """Links do not move, so no node pair is searched twice in a run."""
+    sc = generate_synthetic(seed=42, n_users=60, n_bs=4, n_cns=6,
+                            overrides={"migration_unit_cost": 5.0})
+    searched = []
+    search = scenario._best_route
+
+    def counted(adj, root, target, weight):
+        searched.append((root[1], target))
+        return search(adj, root, target, weight)
+
+    monkeypatch.setattr(scenario, "_best_route", counted)
+    run_experiment(sc, ["gepar"], timesteps=3)
+    assert searched and len(searched) == len(set(searched))
 
 
 @settings(max_examples=25, deadline=None)

@@ -62,7 +62,7 @@ def test_displacement_rolls_back_the_weaker_claim():
     """White-box: a user that ranks a full cell first displaces one that
     ranked it second, and the displaced user's grants vanish everywhere."""
     sc = near_far_scenario()
-    ctx = _Ctx(sc, 2)
+    ctx = _Ctx(sc)
     st = _State(ctx)
     assert _try_place(ctx, st, "u0", 1) == []  # takes bs1
     assert _try_place(ctx, st, "u1", 1) == []  # bs1 full, falls back to bs0

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import BIG, make_scenario, tiny_scenario
+from vrcgsim import metrics, stage2
 from vrcgsim.radio import latency_breakdown
 from vrcgsim.scenario import ScenarioError, generate_synthetic
 from vrcgsim.stage1 import vexa
@@ -316,3 +317,34 @@ def test_gepar_output_always_verifies(seed):
     sol = gepar(sc, s1)
     assert verify_stage2(sol, sc, s1) == []
     assert set(sol.placement) | set(sol.unplaced) == set(s1.admitted)
+
+
+def test_stage2_inputs_are_built_once_per_timestep(monkeypatch):
+    """One stage1_columns call and one demand_profile call per admitted
+    user each timestep, however many solvers, verifiers and costs read
+    them."""
+    calls = {"columns": 0, "demand": 0}
+    marks, admitted = [], []
+
+    def counting(key, fn):
+        def counted(*args):
+            calls[key] += 1
+            return fn(*args)
+        return counted
+
+    def solve(sc, solve=metrics.vexa):
+        marks.append(dict(calls))
+        s1 = solve(sc)
+        admitted.append(len(s1.admitted))
+        return s1
+
+    monkeypatch.setattr(stage2, "stage1_columns", counting("columns", stage1_columns))
+    monkeypatch.setattr(stage2, "demand_profile", counting("demand", demand_profile))
+    monkeypatch.setattr(metrics, "vexa", solve)
+    sc = generate_synthetic(seed=5, n_users=60, n_bs=4, n_cns=6)
+    metrics.run_experiment(sc, ["gepar", "single_path", "unconstrained"], timesteps=3)
+    marks.append(dict(calls))
+    per_step = [(b["columns"] - a["columns"], b["demand"] - a["demand"])
+                for a, b in zip(marks, marks[1:])]
+    assert per_step == [(1, n) for n in admitted]
+    assert all(n > 0 for n in admitted)

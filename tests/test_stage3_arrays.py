@@ -76,7 +76,9 @@ def _outcome(fn, *args):
 def _report(rep):
     if isinstance(rep, tuple):
         return rep
-    return (list(rep.average_s.items()), list(rep.samples.items()), rep.truncated)
+    # the reference keeps tuples of floats, the array code read-only views
+    samples = [(uid, tuple(v)) for uid, v in rep.samples.items()]
+    return (list(rep.average_s.items()), samples, rep.truncated)
 
 
 def _check(sol, sc, s1):
@@ -257,6 +259,14 @@ def test_grant_layout_is_built_once_per_timestep(monkeypatch):
     run_experiment(sc, PIPELINE, timesteps=2)
     assert len(built) == 2 and built[0] is not built[1]
     assert set(sc._lookup) == set(tables_only._lookup)
+
+
+def test_samples_are_read_only_views_of_one_array():
+    sc = generate_synthetic(seed=4, n_users=40, n_bs=3, n_cns=4)
+    s1 = vexa(sc)
+    views = list(mtp_latency(mtpsched(sc, s1), sc, s1).samples.values())
+    assert len(views) == len(s1.admitted)
+    assert all(not v.flags.writeable and v.base is views[0].base for v in views)
 
 
 def test_layout_follows_the_scenario_it_is_asked_for():
