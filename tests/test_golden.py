@@ -47,6 +47,24 @@ def _mobility():
             "golden_mobility.sha256": _digest(sc, sols) + "\n"}
 
 
+def _contended(name, n_users, overrides):
+    sc = generate_synthetic(seed=21, n_users=n_users, n_bs=4, n_cns=5,
+                            area_m=(800, 800), overrides=overrides)
+    reports, sols = run_experiment(sc, ["vexa", "sa", "dc"], timesteps=2,
+                                   collect_solutions=True)
+    return {f"{name}.csv": emit(reports, "csv"),
+            f"{name}.sha256": _digest(sc, sols) + "\n"}
+
+
+def _crowded():
+    return _contended("golden_crowded", 300, {"usable_prbs": 2})
+
+
+def _split():
+    return _contended("golden_split", 80, {"usable_prbs": 1, "ttis_per_window": 20,
+                                           "deadline_s": 0.05})
+
+
 def _check(outputs: dict[str, str]):
     for name, text in outputs.items():
         assert text == (DATA / name).read_text(), f"{name} differs from the pinned output"
@@ -67,8 +85,19 @@ def test_mobility_run_matches_pinned_output():
     _check(_mobility())
 
 
+def test_crowded_admission_matches_pinned_output():
+    """300 users on 4 cells with 2 usable PRBs each: admission evicts."""
+    _check(_crowded())
+
+
+def test_split_admission_matches_pinned_output():
+    """80 users on 1-PRB cells under a relaxed deadline: evictions and
+    two-cell placements."""
+    _check(_split())
+
+
 if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
-    for outputs in (_city(), _tiny(), _mobility()):
+    for outputs in (_city(), _tiny(), _mobility(), _crowded(), _split()):
         for name, text in outputs.items():
             (DATA / name).write_text(text)
