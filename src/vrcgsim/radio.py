@@ -2,14 +2,14 @@
 
 The access link follows the urban street-canyon model at sub-6 GHz with a
 distance threshold separating line-of-sight from non-line-of-sight. The
-link tables (SINR and one-PRB rate of every user/cell pair) are built once
-per scenario instance and kept with it; step_positions makes a new
-instance, so every timestep gets its own tables. Latency is decomposed
-into six parts (crosshaul routing, rendering, propagation, transmission,
-frame processing, queueing) and a frame misses its deadline when the sum
-for some serving base station exceeds the frame period. The first four
-parts are fixed by the stream and the serving cell (fixed_latency_s);
-each caller adds its own air-time and queueing terms.
+link tables (SINR, one-PRB rate and cell ranking of every user/cell pair)
+are built once per scenario instance and kept with it; step_positions
+makes a new instance, so every timestep gets its own tables. Latency is
+decomposed into six parts (crosshaul routing, rendering, propagation,
+transmission, frame processing, queueing) and a frame misses its deadline
+when the sum for some serving base station exceeds the frame period. The
+first four parts are fixed by the stream and the serving cell
+(fixed_latency_s); each caller adds its own air-time and queueing terms.
 """
 from __future__ import annotations
 
@@ -23,12 +23,13 @@ from .scenario import BaseStation, Scenario, User, distance, pixels
 
 @dataclass(frozen=True)
 class LinkTables:
-    """SINR and one-PRB rate for every user/BS pair, computed in one pass."""
+    """SINR, one-PRB rate and ranking for every user/BS pair, in one pass."""
 
     user_index: dict[str, int]  # user id -> row
     bs_index: dict[str, int]  # base station id -> column
     sinr: np.ndarray  # [user, bs]
     se_bps: np.ndarray  # [user, bs], bits/s of a single PRB
+    rank: np.ndarray  # [user, bs], place among the user's covering cells, -1 if not covering
 
     def se_of(self, uid: str, bid: str) -> float:
         return float(self.se_bps[self.user_index[uid], self.bs_index[bid]])
@@ -40,7 +41,9 @@ def link_tables(sc: Scenario) -> LinkTables:
     Street-canyon path loss (clamped below one metre), interference from
     every other base station on the same channel and a noise floor over
     one PRB of bandwidth; the Shannon rate of one PRB follows from the
-    SINR. The tables are cached on the scenario and read-only.
+    SINR. A cell covers a user within its coverage radius, by the same
+    scalar distance the rest of the model uses. The tables are cached on
+    the scenario and read-only.
     """
     cached = sc._lookup.get("links")
     if cached is not None:
@@ -69,12 +72,22 @@ def link_tables(sc: Scenario) -> LinkTables:
     interference = rx @ others.astype(float)
     sinr_m = rx / (interference + noise)
     se = bw * np.log2(1.0 + sinr_m)
-    sinr_m.flags.writeable = se.flags.writeable = False
+    covers = np.array(
+        [[distance(u.position, b.position) <= b.coverage_radius_m for b in sc.base_stations]
+         for u in sc.users],
+        dtype=bool,
+    ).reshape(d.shape)
+    # a stable sort keeps equal SINRs in column order, and the inverse of
+    # the sort order is each cell's place; int8 while it fits
+    order = np.argsort(np.where(covers, -sinr_m, np.inf), axis=1, kind="stable")
+    rank = np.where(covers, order.argsort(axis=1), -1).astype(np.min_scalar_type(-len(ch) - 1))
+    sinr_m.flags.writeable = se.flags.writeable = rank.flags.writeable = False
     tables = LinkTables(
         user_index={u.id: i for i, u in enumerate(sc.users)},
         bs_index={b.id: j for j, b in enumerate(sc.base_stations)},
         sinr=sinr_m,
         se_bps=se,
+        rank=rank,
     )
     sc._lookup["links"] = tables
     return tables
@@ -115,10 +128,9 @@ class LatencyBreakdown:
         )
 
 
-def routing_latency_s(sc: Scenario, bs: BaseStation, cn_id: str | None = None) -> float:
-    """Best crosshaul route latency from the rendering node to the BS."""
-    cid = cn_id if cn_id is not None else bs.nearest_cn
-    ps = sc.paths(bs.id, cid)  # fastest first
+def routing_latency_s(sc: Scenario, bs: BaseStation) -> float:
+    """Best crosshaul route latency from the cell's nearest node to the BS."""
+    ps = sc.paths(bs.id, bs.nearest_cn)  # fastest first
     return ps[0].latency_s if ps else math.inf
 
 
@@ -201,7 +213,3 @@ def latency_breakdown(
             best = cand
     assert best is not None
     return best
-
-
-def check_deadline(sc: Scenario, breakdown: LatencyBreakdown, fps: float) -> bool:
-    return breakdown.total_s <= sc.radio.deadline_for(fps) + 1e-12

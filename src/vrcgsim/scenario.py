@@ -177,7 +177,7 @@ class Link:
     capacity_bps: float = field(metadata=_POSITIVE)
     latency_s: float = field(metadata=_NON_NEGATIVE)
 
-    @property
+    @functools.cached_property
     def id(self) -> str:
         return f"{self.src}->{self.dst}"
 

@@ -81,10 +81,14 @@ def qoe_stage1(sc: Scenario, solution: Stage1Solution, uid: str) -> float:
     """
     if uid not in solution.admitted:
         raise ValueError(f"user {uid} not admitted")
+    return _qoe(sc, uid, solution.resolution[uid], solution.frame_rate[uid])
+
+
+def _qoe(sc: Scenario, uid: str, res, fps) -> float:
     hs = sc.headset_of(sc.user(uid))
     if is_quality(sc, uid):
-        return math.log(pixels(solution.resolution[uid]) / pixels(hs.resolutions[0]))
-    return math.log(solution.frame_rate[uid] / hs.frame_rates[0])
+        return math.log(pixels(res) / pixels(hs.resolutions[0]))
+    return math.log(fps / hs.frame_rates[0])
 
 
 def total_qoe_stage1(sc: Scenario, solution: Stage1Solution) -> float:
@@ -96,63 +100,57 @@ def total_qoe_stage1(sc: Scenario, solution: Stage1Solution) -> float:
 
 
 class _Ctx:
-    """Per-scenario caches: candidate ranking and capacities."""
+    """One solve's view of the link tables, plus capacities.
+
+    rank maps each user to their covering cells, best first, and each
+    cell to its rank.
+    """
 
     def __init__(self, sc: Scenario):
         self.sc = sc
         self.lt = lt = link_tables(sc)
-        self.cands: dict[str, list[str]] = {}
-        self.rank: dict[str, dict[str, int]] = {}
-        for i, u in enumerate(sc.users):
-            covering = [
-                (float(-lt.sinr[i, j]), j, b.id)
-                for j, b in enumerate(sc.base_stations)
-                if distance(u.position, b.position) <= b.coverage_radius_m
-            ]
-            covering.sort()
-            self.cands[u.id] = [bid for _, _, bid in covering]
-            self.rank[u.id] = {bid: k for k, (_, _, bid) in enumerate(covering)}
+        bids = list(lt.bs_index)
+        order = np.argsort(np.where(lt.rank < 0, len(bids), lt.rank), axis=1).tolist()
+        covered = (lt.rank >= 0).sum(axis=1).tolist()
+        self.rank: dict[str, dict[str, int]] = {
+            uid: {bids[j]: k for k, j in enumerate(order[i][: covered[i]])}
+            for uid, i in lt.user_index.items()
+        }
         self.pool = {b.id: grant_pool(b, sc.radio) for b in sc.base_stations}
         self.cap = {b.id: b.frame_capacity_fps for b in sc.base_stations}
-
-    def fixed_s(self, uid: str, bid: str, res, fps) -> float:
-        """Per-column latency before the air interface, worst-case queue.
-
-        The queueing term uses the solver's admission cap (half the frame
-        capacity), so later admissions can never break an earlier check.
-        """
-        sc = self.sc
-        return fixed_latency_s(sc, sc.user(uid), sc.bs(bid), res, fps) + 2.0 / self.cap[bid]
 
     def demand(self, uid: str, bid: str, parts: int, res, fps) -> int | None:
         """Grants one cell must give when the stream is split parts ways.
 
         Sized for the larger of the carried bit rate and the grants needed
-        to push a whole frame over the air inside the deadline.  The frame
+        to push a whole frame over the air inside the deadline; the frame
         never shrinks with a split, so the deadline term ignores parts.
+        The fixed latency takes the worst-case queue at the solver's
+        admission cap (half the frame capacity), so later admissions can
+        never break an earlier check. None when no grant count meets the
+        deadline.
         """
+        sc = self.sc
         se = self.lt.se_of(uid, bid)
         if se <= 0:
             return None
-        budget = self.sc.radio.deadline_for(fps) + 1e-12 - self.fixed_s(uid, bid, res, fps)
+        deadline = sc.radio.deadline_for(fps) + 1e-12
+        fixed = fixed_latency_s(sc, sc.user(uid), sc.bs(bid), res, fps) + 2.0 / self.cap[bid]
+        budget = deadline - fixed
         if budget <= 0:
             return None
-        load = traffic_load_bps(self.sc, 1.0, res, fps)
-        need = math.ceil(load / (parts * se))
-        tight = math.ceil(frame_bits(self.sc, res) / (budget * se))
-        return max(need, tight, self.sc.radio.tti_groups_for(fps))
-
-    def column_ok(self, uid: str, bid: str, grants: int, res, fps) -> bool:
-        """Deadline check for one serving cell, worst-case queue assumed."""
-        if grants <= 0:
-            return False
-        bits = frame_bits(self.sc, res)
-        total = self.fixed_s(uid, bid, res, fps) + bits / (grants * self.lt.se_of(uid, bid))
-        return total <= self.sc.radio.deadline_for(fps) + 1e-12
+        bits = frame_bits(sc, res)
+        need = math.ceil(traffic_load_bps(sc, 1.0, res, fps) / (parts * se))
+        tight = math.ceil(bits / (budget * se))
+        grants = max(need, tight, sc.radio.tti_groups_for(fps))
+        return grants if fixed + bits / (grants * se) <= deadline else None
 
 
 class _State:
-    """Mutable allocation while solving."""
+    """Mutable allocation while solving.
+
+    holders buckets each cell's users by the cell's rank in their lists.
+    """
 
     def __init__(self, ctx: _Ctx):
         self.ctx = ctx
@@ -161,19 +159,24 @@ class _State:
         self.fps: dict[str, int] = {}
         self.used = {bid: 0 for bid in ctx.pool}
         self.arrivals = {bid: 0.0 for bid in ctx.pool}
+        self.holders: dict[str, dict[int, set[str]]] = {bid: {} for bid in ctx.pool}
 
     def add(self, uid: str, placements: dict[str, int], res, fps):
         self.place[uid] = placements
         self.res[uid] = res
         self.fps[uid] = fps
+        rank = self.ctx.rank[uid]
         for bid, g in placements.items():
             self.used[bid] += g
             self.arrivals[bid] += fps
+            self.holders[bid].setdefault(rank.get(bid, -1), set()).add(uid)
 
     def remove(self, uid: str):
+        rank = self.ctx.rank[uid]
         for bid, g in self.place.pop(uid).items():
             self.used[bid] -= g
             self.arrivals[bid] -= self.fps[uid]
+            self.holders[bid][rank.get(bid, -1)].remove(uid)
         del self.res[uid]
         del self.fps[uid]
 
@@ -197,14 +200,6 @@ class _State:
         )
 
 
-def _state_from_solution(ctx: _Ctx, solution: Stage1Solution) -> _State:
-    st = _State(ctx)
-    for uid in solution.admitted:
-        placements = {bid: solution.prbs[(uid, bid)] for bid in solution.assoc[uid]}
-        st.add(uid, placements, solution.resolution[uid], solution.frame_rate[uid])
-    return st
-
-
 # ---------------------------------------------------------------------------
 # Association
 
@@ -221,31 +216,33 @@ def _try_place(ctx: _Ctx, st: _State, uid: str, parts: int) -> list[str] | None:
     sc = ctx.sc
     hs = sc.headset_of(sc.user(uid))
     res, fps = hs.resolutions[0], hs.frame_rates[0]
-    chosen: list[tuple[str, int]] = []
-    evicted: set[str] = set()
+    index = ctx.lt.user_index
+    chosen: dict[str, int] = {}
+    evicted: dict[str, None] = {}  # in eviction order
     freed_pool = {bid: 0 for bid in ctx.pool}
     freed_arr = {bid: 0.0 for bid in ctx.pool}
-    eviction_order: list[str] = []
 
-    for bid in ctx.cands[uid]:
+    def fits(bid: str, ask: int) -> bool:
+        return (ask <= ctx.pool[bid] - st.used[bid] + freed_pool[bid]
+                and fps <= 0.5 * ctx.cap[bid] - st.arrivals[bid] + freed_arr[bid])
+
+    for my_rank, bid in enumerate(ctx.rank[uid]):
         if len(chosen) == parts:
             break
         ask = ctx.demand(uid, bid, parts, res, fps)
-        if ask is None or not ctx.column_ok(uid, bid, ask, res, fps):
+        if ask is None:
             continue
-        pool_left = ctx.pool[bid] - st.used[bid] + freed_pool[bid]
-        arr_left = 0.5 * ctx.cap[bid] - st.arrivals[bid] + freed_arr[bid]
-        if ask <= pool_left and fps <= arr_left:
-            chosen.append((bid, ask))
+        if fits(bid, ask):
+            chosen[bid] = ask
             continue
         # cell is full: plan displacements among strictly worse-placed users
-        my_rank = ctx.rank[uid][bid]
-        incumbents = [
+        buckets = st.holders[bid]
+        incumbents = (
             v
-            for v in st.place
-            if bid in st.place[v] and v not in evicted and ctx.rank[v][bid] > my_rank
-        ]
-        incumbents.sort(key=lambda v: (ctx.rank[v][bid], ctx.lt.user_index[v]), reverse=True)
+            for r in sorted(buckets, reverse=True) if r > my_rank
+            for v in sorted(buckets[r], key=index.__getitem__, reverse=True)
+            if v not in evicted
+        )
         snap_pool = dict(freed_pool)
         snap_arr = dict(freed_arr)
         picked: list[str] = []
@@ -254,26 +251,21 @@ def _try_place(ctx: _Ctx, st: _State, uid: str, parts: int) -> list[str] | None:
             for vb, g in st.place[v].items():
                 freed_pool[vb] += g
                 freed_arr[vb] += st.fps[v]
-            pool_left = ctx.pool[bid] - st.used[bid] + freed_pool[bid]
-            arr_left = 0.5 * ctx.cap[bid] - st.arrivals[bid] + freed_arr[bid]
-            if ask <= pool_left and fps <= arr_left:
+            if fits(bid, ask):
                 break
-        pool_left = ctx.pool[bid] - st.used[bid] + freed_pool[bid]
-        arr_left = 0.5 * ctx.cap[bid] - st.arrivals[bid] + freed_arr[bid]
-        if ask <= pool_left and fps <= arr_left:
-            evicted.update(picked)
-            eviction_order.extend(picked)
-            chosen.append((bid, ask))
+        if fits(bid, ask):
+            evicted.update(dict.fromkeys(picked))
+            chosen[bid] = ask
         else:
             freed_pool.update(snap_pool)
             freed_arr.update(snap_arr)
 
     if len(chosen) < parts:
         return None
-    for v in eviction_order:
+    for v in evicted:
         st.remove(v)
-    st.add(uid, {bid: ask for bid, ask in chosen}, res, fps)
-    return eviction_order
+    st.add(uid, chosen, res, fps)
+    return list(evicted)
 
 
 def vexa(sc: Scenario, max_connections: int | None = None) -> Stage1Solution:
@@ -337,20 +329,6 @@ def _next_option(sc: Scenario, uid: str, solution_res, solution_fps):
     return solution_res, hs.frame_rates[i + 1]
 
 
-def _max_qoe(sc: Scenario, uid: str) -> float:
-    hs = sc.headset_of(sc.user(uid))
-    if is_quality(sc, uid):
-        return math.log(pixels(hs.resolutions[-1]) / pixels(hs.resolutions[0]))
-    return math.log(hs.frame_rates[-1] / hs.frame_rates[0])
-
-
-def _current_qoe(sc: Scenario, st: _State, uid: str) -> float:
-    hs = sc.headset_of(sc.user(uid))
-    if is_quality(sc, uid):
-        return math.log(pixels(st.res[uid]) / pixels(hs.resolutions[0]))
-    return math.log(st.fps[uid] / hs.frame_rates[0])
-
-
 def _try_upgrade(ctx: _Ctx, st: _State, uid: str) -> bool:
     nxt = _next_option(ctx.sc, uid, st.res[uid], st.fps[uid])
     if nxt is None:
@@ -361,7 +339,7 @@ def _try_upgrade(ctx: _Ctx, st: _State, uid: str) -> bool:
     new_grants = {}
     for bid, g in placements.items():
         g2 = ctx.demand(uid, bid, parts, res2, fps2)
-        if g2 is None or not ctx.column_ok(uid, bid, g2, res2, fps2):
+        if g2 is None:
             return False
         if st.used[bid] - g + g2 > ctx.pool[bid]:
             return False
@@ -382,17 +360,20 @@ def maximize_qoe(solution: Stage1Solution, sc: Scenario) -> Stage1Solution:
     selections up.
     """
     ctx = _Ctx(sc)
-    st = _state_from_solution(ctx, solution)
+    st = _State(ctx)
+    for uid in solution.admitted:
+        placements = {bid: solution.prbs[(uid, bid)] for bid in solution.assoc[uid]}
+        st.add(uid, placements, solution.resolution[uid], solution.frame_rate[uid])
+
+    def gap(uid: str) -> float:
+        hs = sc.headset_of(sc.user(uid))
+        return (_qoe(sc, uid, hs.resolutions[-1], hs.frame_rates[-1])
+                - _qoe(sc, uid, st.res[uid], st.fps[uid]))
+
     changed = True
     while changed:
         changed = False
-        order = sorted(
-            st.place,
-            key=lambda uid: (
-                -(_max_qoe(sc, uid) - _current_qoe(sc, st, uid)),
-                ctx.lt.user_index[uid],
-            ),
-        )
+        order = sorted(st.place, key=lambda uid: (-gap(uid), ctx.lt.user_index[uid]))
         for uid in order:
             if _try_upgrade(ctx, st, uid):
                 changed = True
@@ -406,13 +387,15 @@ def maximize_qoe(solution: Stage1Solution, sc: Scenario) -> Stage1Solution:
 def verify_stage1(solution: Stage1Solution, sc: Scenario) -> list[Violation]:
     """Independent constraint audit of a stage-1 solution.
 
-    Checks association bounds, grant exclusivity and pool capacity, menu
-    membership of the selections, share normalization, per-cell throughput
-    against the carried load, and the end-to-end deadline with the exact
-    queue occupancy produced by the admitted set.
+    Checks association bounds, coverage of every serving cell, grant
+    exclusivity and pool capacity, menu membership of the selections,
+    share normalization, per-cell throughput against the carried load, and
+    the end-to-end deadline with the exact queue occupancy produced by the
+    admitted set.
     """
     out: list[Violation] = []
     known = {u.id for u in sc.users}
+    cells = {b.id: b for b in sc.base_stations}
     n = sc.radio.max_connections
 
     for uid in sorted(solution.admitted):
@@ -430,7 +413,13 @@ def verify_stage1(solution: Stage1Solution, sc: Scenario) -> list[Violation]:
             )
         if len(set(bids)) != len(bids):
             out.append(Violation("association-bounds", uid, "duplicate serving cell"))
-        hs = sc.headset_of(sc.user(uid))
+        u = sc.user(uid)
+        for bid in bids:
+            b = cells.get(bid)
+            if b is not None and (d := distance(u.position, b.position)) > b.coverage_radius_m:
+                out.append(Violation("coverage", f"{uid}/{bid}",
+                                     f"{d:.1f} m away, radius {b.coverage_radius_m:.1f} m"))
+        hs = sc.headset_of(u)
         res = solution.resolution.get(uid)
         if res not in hs.resolutions:
             out.append(Violation("selection", uid, f"resolution {res} not offered by headset"))

@@ -88,6 +88,18 @@ def test_config_round_trip_is_identity():
     assert scenario_to_json(sc2) == text
 
 
+def test_link_id_is_formatted_once():
+    """The id is cached on first read; it is no field, so equality,
+    hashing and the scenario codec ignore it."""
+    sc = small_scenario()
+    text = scenario_to_json(sc)
+    link = sc.links[0]
+    assert link.id is link.id == f"{link.src}->{link.dst}"
+    assert link == Link(link.src, link.dst, link.capacity_bps, link.latency_s)
+    assert hash(link) == hash(Link(link.src, link.dst, link.capacity_bps, link.latency_s))
+    assert scenario_to_json(sc) == text
+
+
 def test_load_rejects_bad_config():
     sc = small_scenario()
     import json

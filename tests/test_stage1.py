@@ -272,3 +272,16 @@ def test_multi_connectivity_rescues_pool_bound_user():
     assert len(sol.assoc["u0"]) == 2
     assert sol.share[("u0", "bs0")] == pytest.approx(0.5)
     assert verify_stage1(sol, sc) == []
+
+
+def test_verifier_flags_a_serving_cell_that_does_not_cover_the_user():
+    """u0 is 1,574 m from bs0, whose radius is 400 m; the grants alone
+    would carry its stream inside the deadline."""
+    sc = generate_synthetic(seed=5, n_users=60, n_bs=4, n_cns=5)
+    hs = sc.headset_of(sc.user("u0"))
+    far = Stage1Solution(assoc={"u0": ("bs0",)}, prbs={("u0", "bs0"): 2000},
+                         resolution={"u0": hs.resolutions[0]},
+                         frame_rate={"u0": hs.frame_rates[0]},
+                         share={("u0", "bs0"): 1.0}, admitted=frozenset({"u0"}))
+    violations = verify_stage1(far, sc)
+    assert [(v.kind, v.subject) for v in violations] == [("coverage", "u0/bs0")]
