@@ -50,8 +50,8 @@ class Stage1Solution:
     PRB-TTI grants over the scheduling window; share is the fraction of the
     video stream each serving cell carries (equal split). _memo keeps
     what later stages derive from this solution alone (stage 2 keeps its
-    input table there, stage 3 its grant layout), so it lives and dies with
-    the timestep's solution.
+    input table there, stage 3 its grant layout and each user's fixed
+    latency), so it lives and dies with the timestep's solution.
     """
 
     assoc: dict[str, tuple[str, ...]]
@@ -446,8 +446,11 @@ def verify_stage1(solution: Stage1Solution, sc: Scenario) -> list[Violation]:
             if solution.prbs.get((uid, bid), 0) <= 0:
                 out.append(Violation("exclusivity", f"{uid}/{bid}", "serving cell has no grants"))
 
+    granted: dict[str, int] = {}
+    for (_, bid), g in solution.prbs.items():
+        granted[bid] = granted.get(bid, 0) + g
     for bs in sc.base_stations:
-        used = sum(g for (uid, bid), g in solution.prbs.items() if bid == bs.id)
+        used = granted.get(bs.id, 0)
         pool = grant_pool(bs, sc.radio)
         if used > pool:
             out.append(Violation("pool", bs.id, f"{used} grants allocated, budget {pool}"))

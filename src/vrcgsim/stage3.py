@@ -10,18 +10,21 @@ mtpsched then turns each user's grant total into a concrete TTI
 schedule, spacing the grants so a freshly generated frame never waits
 long for a transmission opportunity. The layout reads only stage 1, so
 it is built once per stage-1 solution (one per timestep) and amps and
-mtpsched share it. Round-robin and proportional-fair schedulers are
-provided as comparison points; both hand out all PRBs of every TTI and
-ignore grant totals and group coverage on purpose.
+mtpsched share it. It is built as arrays, one array step per user on
+each cell, and the same pass emits its grants as flat arrays.
+Round-robin and proportional-fair schedulers are provided as comparison
+points; both hand out all PRBs of every TTI and ignore grant totals and
+group coverage on purpose.
 
 mtp_latency and verify_stage3 read a schedule through flat_schedule, its
-grants as arrays, built at most once per solution.
+grants as arrays, built at most once per solution; amps and mtpsched
+come with the layout's flat grants already in place.
 """
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain, repeat
 from operator import itemgetter
 
@@ -42,7 +45,8 @@ class Stage3Solution:
     their PRB counts; TTIs without entries are omitted. tti_groups holds
     each user's group start offsets (group j spans [starts[j], starts[j+1])
     with the last group ending at the window). A solution is read as built:
-    its schedule's arrays are kept in _memo once made.
+    its schedule's arrays are kept in _memo once made, and amps and
+    mtpsched hand theirs over already made.
     """
 
     object_resolution: ResMap
@@ -63,6 +67,19 @@ class MtpReport:
 def group_starts(ttis: int, groups: int) -> tuple[int, ...]:
     """Start offsets of `groups` contiguous near-equal slices of the window."""
     return tuple(j * ttis // groups for j in range(groups))
+
+
+def _tti_groups(sc: Scenario, stage1: Stage1Solution) -> dict[str, tuple[int, ...]]:
+    """Each admitted user's group starts; one tuple per group count."""
+    ttis = sc.radio.ttis_per_window
+    starts_of: dict[int, tuple[int, ...]] = {}
+    groups: dict[str, tuple[int, ...]] = {}
+    for uid in stage1.admitted:
+        t = sc.radio.tti_groups_for(stage1.frame_rate[uid])
+        if t not in starts_of:
+            starts_of[t] = group_starts(ttis, t)
+        groups[uid] = starts_of[t]
+    return groups
 
 
 def stage1_object_resolutions(sc: Scenario, stage1: Stage1Solution) -> ResMap:
@@ -208,7 +225,10 @@ def mtpsched(
 
     The layout depends on stage 1 alone, not on the resolutions, so it is
     built once per stage-1 solution and kept on it: amps and a following
-    mtpsched of the same timestep share one layout.
+    mtpsched of the same timestep share one layout. It is built as
+    arrays, each user's grants on a cell placed in one array step, and
+    its flat grants (what flat_schedule returns) come with it, shared
+    read-only by every solution of the timestep.
     """
     if resolutions is None:
         resolutions = stage1_object_resolutions(sc, stage1)
@@ -216,88 +236,201 @@ def mtpsched(
     if kept is None or kept[0] is not sc:
         kept = (sc, *_grant_layout(sc, stage1))
         stage1._memo["grant_layout"] = kept
-    _, schedule, groups = kept
-    return Stage3Solution(resolutions, dict(schedule), dict(groups))
+    _, schedule, groups, flat = kept
+    solution = Stage3Solution(resolutions, dict(schedule), dict(groups))
+    # its own view of the shared read-only grant arrays
+    solution._memo["flat"] = (sc, replace(flat))
+    return solution
 
 
 def _grant_layout(
     sc: Scenario, stage1: Stage1Solution
-) -> tuple[dict[tuple[str, int], tuple[tuple[str, int], ...]], dict[str, tuple[int, ...]]]:
-    """mtpsched's schedule and TTI groups, built from scratch."""
-    ttis = sc.radio.ttis_per_window
-    groups: dict[str, tuple[int, ...]] = {}
-    for uid in stage1.admitted:
-        t = sc.radio.tti_groups_for(stage1.frame_rate[uid])
-        groups[uid] = group_starts(ttis, t)
-    # (target, lo, hi) of each group's pinned grant, per group layout
-    pins: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
-    for starts in set(groups.values()):
-        bounds = list(starts) + [ttis]
-        pins[starts] = [
-            (min(max((j + 1) * ttis // (len(starts) + 1), lo), hi - 1), lo, hi)
-            for j, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
-        ]
+) -> tuple[
+    dict[tuple[str, int], tuple[tuple[str, int], ...]],
+    dict[str, tuple[int, ...]],
+    FlatSchedule,
+]:
+    """mtpsched's schedule, TTI groups and flat grants, built from scratch.
 
-    schedule: dict[tuple[str, int], tuple[tuple[str, int], ...]] = {}
-    for b in sc.base_stations:
+    Every take gets the free TTI nearest its target, ties to the earlier.
+    One user's pins lie in its own disjoint groups, so they are placed in
+    one array step. Its extra grants are too, unless two of them would
+    overfill a TTI; then they are taken one at a time.
+    """
+    ttis = sc.radio.ttis_per_window
+    groups = _tti_groups(sc, stage1)
+    layouts = {len(starts): starts for starts in groups.values()}
+    walks = {t: _pin_walk(ttis, starts) for t, starts in layouts.items()}
+
+    # the users each cell serves, in catalog order
+    served: dict[str, list[tuple[int, str]]] = {b.id: [] for b in sc.base_stations}
+    for i, u in enumerate(sc.users):
+        if u.id in stage1.admitted:
+            for bid in dict.fromkeys(stage1.assoc[u.id]):
+                if bid in served:
+                    served[bid].append((i, u.id))
+
+    takes: list[tuple[int, np.ndarray, np.ndarray]] = []
+    for c, b in enumerate(sc.base_stations):
         owed = [
-            (u.id, stage1.prbs[(u.id, b.id)])
-            for u in sc.users
-            if u.id in stage1.admitted and b.id in stage1.assoc[u.id]
+            (i, len(groups[uid]), stage1.prbs[(uid, b.id)])
+            for i, uid in served[b.id]
         ]
         if not owed:
             continue
-        total = sum(y for _, y in owed)
+        total = sum(y for _, _, y in owed)
         if total > b.usable_prbs * ttis:
             raise ValueError(
                 f"{total} grants exceed the {b.usable_prbs * ttis} "
                 f"schedulable on {b.id}"
             )
-        free = [b.usable_prbs] * ttis
-        # how far each (target, lo, hi) has walked its nearest-free order
-        # target, target-1, target+1, ...; TTIs only fill, so it never
-        # has to step back
-        walked: dict[tuple[int, int, int], int] = {}
-        counts: dict[tuple[str, int], int] = {}
+        # the slot past the window stands for a group's end: never free
+        free = np.full(ttis + 1, b.usable_prbs, dtype=np.int64)
+        free[ttis] = 0
+        # each group's place in its walk; TTIs only fill, so a cursor
+        # only ever passes full ones
+        cursors = {t: first.copy() for t, (_, first, _) in walks.items()}
+        picks: list[np.ndarray] = []
+        who: list[int] = []
+        sizes: list[int] = []
 
-        def take(uid: str, target: int, lo: int, hi: int) -> bool:
-            """Grant uid the free TTI in [lo, hi) nearest target, ties earlier."""
-            key = (target, lo, hi)
-            k = walked.get(key, 0)
-            reach = max(target - lo, hi - 1 - target)
-            while True:
-                d = (k + 1) // 2
-                if d > reach:
-                    walked[key] = k
-                    return False
-                tti = target - d if k % 2 else target + d
-                if lo <= tti < hi and free[tti]:
-                    break
-                k += 1
-            walked[key] = k
-            free[tti] -= 1
-            counts[(uid, tti)] = counts.get((uid, tti), 0) + 1
-            return True
-
-        for uid, y in owed:
-            for j, (target, lo, hi) in enumerate(pins[groups[uid]][:max(y, 0)]):
-                if not take(uid, target, lo, hi):
+        for i, t, y in owed:
+            m = min(t, y)
+            if m <= 0:
+                continue
+            walk, _, end = walks[t]
+            cur = cursors[t][:m]
+            got = walk[cur]
+            if not free[got].all():
+                full = free[got] == 0
+                while (step := full & (cur < end[:m])).any():
+                    cur[step] += 1
+                    got = walk[cur]
+                    full = free[got] == 0
+                if full.any():
                     raise ValueError(
-                        f"no spare TTI left in group {j} on {b.id}"
+                        f"no spare TTI left in group {int(np.argmax(full))} on {b.id}"
                     )
-        for uid, y in owed:
-            extra = y - len(groups[uid])
-            for i in range(1, max(0, extra) + 1):
-                target = i * ttis // (extra + 1)
-                if not take(uid, min(target, ttis - 1), 0, ttis):
-                    raise ValueError(f"schedule of {b.id} is full")
+            free[got] -= 1
+            picks.append(got)
+            who.append(i)
+            sizes.append(m)
 
-        per_tti: dict[int, list[tuple[str, int]]] = {}
-        for (uid, tti), n in counts.items():
-            per_tti.setdefault(tti, []).append((uid, n))
-        for tti, entries in per_tti.items():
-            schedule[(b.id, tti)] = tuple(sorted(entries))
-    return schedule, groups
+        avail = np.flatnonzero(free)
+        for i, t, y in owed:
+            extra = y - t
+            if extra <= 0:
+                continue
+            targets = np.minimum(np.arange(1, extra + 1) * ttis // (extra + 1), ttis - 1)
+            got = _nearest_free(avail, targets, b.id)
+            tti, n = np.unique(got, return_counts=True)
+            if (n > free[tti]).any():
+                # the extras compete for a TTI: take them one at a time
+                for k in range(extra):
+                    got[k] = tti = _nearest_free(avail, targets[k:k + 1], b.id)[0]
+                    free[tti] -= 1
+                    if not free[tti]:
+                        avail = avail[avail != tti]
+            else:
+                free[tti] -= n
+                if not free[tti].all():
+                    avail = avail[free[avail] > 0]
+            picks.append(got)
+            who.append(i)
+            sizes.append(extra)
+
+        if picks:
+            takes.append((c, np.concatenate(picks), np.repeat(who, sizes)))
+
+    schedule, flat = _schedule_of_takes(sc, takes)
+    return schedule, groups, flat
+
+
+def _pin_walk(
+    ttis: int, starts: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every group's TTIs in the order a pin tries them, for one layout.
+
+    Group j's TTIs sit at [first[j], end[j]) of the walk, nearest its
+    pin target first, the earlier of two equally near first; at end[j]
+    stands the slot past the window, which is never free.
+    """
+    t = len(starts)
+    bounds = np.array(starts + (ttis,), dtype=np.int64)
+    lo, hi = bounds[:-1], bounds[1:]
+    j = np.arange(t)
+    target = np.minimum(np.maximum((j + 1) * ttis // (t + 1), lo), hi - 1)
+    group = np.repeat(j, hi - lo)
+    gap = np.arange(ttis) - target[group]
+    order = np.lexsort((2 * np.abs(gap) - (gap < 0), group))
+    return np.insert(order, hi, ttis), lo + j, hi + j
+
+
+def _nearest_free(avail: np.ndarray, targets: np.ndarray, bid: str) -> np.ndarray:
+    """The TTI of `avail` (sorted) nearest each target, ties to the earlier."""
+    if not avail.size:
+        raise ValueError(f"schedule of {bid} is full")
+    pos = np.searchsorted(avail, targets)
+    left = avail[np.maximum(pos - 1, 0)]
+    right = avail[np.minimum(pos, avail.size - 1)]
+    earlier = (pos > 0) & ((pos == avail.size) | (targets - left <= right - targets))
+    return np.where(earlier, left, right)
+
+
+def _schedule_of_takes(
+    sc: Scenario, takes: list[tuple[int, np.ndarray, np.ndarray]]
+) -> tuple[dict[tuple[str, int], tuple[tuple[str, int], ...]], FlatSchedule]:
+    """The schedule and its flat grants, from every cell's takes in order.
+
+    takes holds (cell column, TTI of each take, catalog row of its user).
+    A cell's keys come in the order of their first take, and a key's
+    entries (user, takes) in the order of the user ids.
+    """
+    ttis = sc.radio.ttis_per_window
+    ids = [u.id for u in sc.users]
+    n_users = max(len(ids), 1)
+    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
+    id_rank = np.empty(len(ids), dtype=np.int64)
+    id_rank[by_id] = np.arange(len(ids))
+    codes, key_bs, key_tti = [], [], []
+    keys = 0
+    for c, tti, who in takes:
+        first = np.full(ttis, tti.size)
+        np.minimum.at(first, tti, np.arange(tti.size))
+        used = np.flatnonzero(first < tti.size)
+        order = used[np.argsort(first[used])]
+        key_of = np.empty(ttis, dtype=np.int64)
+        key_of[order] = np.arange(keys, keys + order.size)
+        codes.append(key_of[tti] * n_users + id_rank[who])
+        key_bs.append(np.full(order.size, c))
+        key_tti.append(order)
+        keys += order.size
+    empty = [np.zeros(0, dtype=np.int64)]
+    code, n = np.unique(np.concatenate(codes or empty), return_counts=True)
+    flat = FlatSchedule(  # a catalog row is also the user's link-table row
+        key=(code // n_users).astype(np.int32),
+        user=by_id[code % n_users].astype(np.int32),
+        n=n.astype(np.int64),
+        key_bs=np.concatenate(key_bs or empty).astype(np.int32),
+        key_tti=np.concatenate(key_tti or empty).astype(np.int64),
+    )
+    for a in vars(flat).values():
+        a.flags.writeable = False
+
+    # most entries are one pin, (user, 1): each user's is made once and shared
+    entries = np.fromiter(((uid, 1) for uid in ids), dtype=object, count=len(ids))[flat.user]
+    for k in np.flatnonzero(n != 1).tolist():
+        entries[k] = (ids[flat.user[k]], int(n[k]))
+    entries = entries.tolist()
+    bids = [b.id for b in sc.base_stations]
+    cuts = np.searchsorted(flat.key, np.arange(keys + 1)).tolist()
+    schedule = {
+        (bids[b], tti): tuple(entries[lo:hi])
+        for b, tti, lo, hi in zip(
+            flat.key_bs.tolist(), flat.key_tti.tolist(), cuts, cuts[1:]
+        )
+    }
+    return schedule, flat
 
 
 def baseline_round_robin(sc: Scenario, stage1: Stage1Solution) -> Stage3Solution:
@@ -309,10 +442,7 @@ def baseline_round_robin(sc: Scenario, stage1: Stage1Solution) -> Stage3Solution
     """
     resolutions = stage1_object_resolutions(sc, stage1)
     ttis = sc.radio.ttis_per_window
-    groups = {
-        uid: group_starts(ttis, sc.radio.tti_groups_for(stage1.frame_rate[uid]))
-        for uid in stage1.admitted
-    }
+    groups = _tti_groups(sc, stage1)
     schedule: dict[tuple[str, int], tuple[tuple[str, int], ...]] = {}
     for b in sc.base_stations:
         users = [
@@ -350,10 +480,7 @@ def baseline_proportional_fair(
     ttis = sc.radio.ttis_per_window
     alpha = 1.0 / 100.0
     lt = link_tables(sc)
-    groups = {
-        uid: group_starts(ttis, sc.radio.tti_groups_for(stage1.frame_rate[uid]))
-        for uid in stage1.admitted
-    }
+    groups = _tti_groups(sc, stage1)
     schedule: dict[tuple[str, int], tuple[tuple[str, int], ...]] = {}
     for b in sc.base_stations:
         users = [
@@ -481,17 +608,25 @@ def mtp_latency(
     ptr = np.searchsorted(slot, np.arange(len(users)) * span)  # each user's TTIs
     end = np.searchsorted(slot, np.arange(1, len(users) + 1) * span)
 
-    # each user's frame stream and the fixed parts of its latency
-    fps_of, fixed, per_frame = [], [], []
+    # each user's frame stream and the fixed parts of its latency; those
+    # read stage 1 alone, so they are priced once per stage-1 solution
+    kept = stage1._memo.get("mtp_fixed")
+    fixed = kept[1] if kept is not None and kept[0] is sc else None
+    fps_of, fixed_of, per_frame = [], [], []
     for u in users:
         fps = stage1.frame_rate[u.id]
-        res = stage1.resolution[u.id]
-        fixed.append(max(
-            fixed_latency_s(sc, u, sc.bs(bid), res, fps) for bid in stage1.assoc[u.id]
-        ))
+        if fixed is None:
+            res = stage1.resolution[u.id]
+            fixed_of.append(max(
+                fixed_latency_s(sc, u, sc.bs(bid), res, fps) for bid in stage1.assoc[u.id]
+            ))
         per_frame.append(objects_load(sc, stage1, solution.object_resolution, u.id) / fps)
         fps_of.append(fps)
-    fixed, per_frame = np.array(fixed), np.array(per_frame)
+    if fixed is None:
+        fixed = np.array(fixed_of)
+        fixed.flags.writeable = False
+        stage1._memo["mtp_fixed"] = (sc, fixed)
+    per_frame = np.array(per_frame)
     n_frames = [max(1, math.ceil(fps * window - 1e-9)) for fps in fps_of]
     fps = np.array(fps_of, dtype=float)
     frames = np.array(n_frames)

@@ -8,11 +8,13 @@ words, and the same exceptions.
 """
 import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import scalar_stage3 as ref
+from helpers import make_scenario
 from vrcgsim import stage3
 from vrcgsim.metrics import run_experiment
 from vrcgsim.radio import link_tables
@@ -109,6 +111,140 @@ def test_solver_schedules_match_the_reference(city):
         sols += [amps(sc, s1), got]
     for sol in sols:
         _check(sol, sc, s1)
+
+
+def _same_schedule(got, expected):
+    assert list(got.schedule.items()) == list(expected.schedule.items())
+    assert list(got.tti_groups.items()) == list(expected.tti_groups.items())
+
+
+@pytest.mark.parametrize("seed", [1000, 1001])
+def test_paper_city_schedules_match_the_reference(seed):
+    sc = generate_synthetic(seed=seed, n_users=1200, n_bs=10, n_cns=13)
+    s1 = vexa(sc)
+    _same_schedule(mtpsched(sc, s1), ref.mtpsched(sc, s1))
+
+
+RATES = (72, 90)  # 3 and 4 groups in a 0.05 s window
+
+
+@st.composite
+def extra_grants(draw):
+    """Users owing more grants than they have groups, two frame rates a cell.
+
+    Every serving cell owes its user one to four grants beyond its groups,
+    and the first two users share cell 0 at different frame rates. Short
+    windows with few PRBs make the extras of one user compete for a TTI.
+    """
+    ttis = draw(st.sampled_from((12, 40, 200)))
+    usable = draw(st.integers(1, 6))
+    sc = generate_synthetic(
+        seed=draw(st.integers(0, 10_000)),
+        n_users=draw(st.integers(2, max(2, min(30, ttis * usable // 12)))),
+        n_bs=draw(st.integers(1, 3)), n_cns=3, area_m=(600.0, 600.0),
+        overrides={"ttis_per_window": ttis, "tti_s": 0.05 / ttis, "usable_prbs": usable},
+    )
+    cells = [b.id for b in sc.base_stations]
+    assoc, prbs, fps = {}, {}, {}
+    for k, u in enumerate(sc.users):
+        fps[u.id] = RATES[k] if k < 2 else draw(st.sampled_from(RATES))
+        first = cells[0] if k < 2 else draw(st.sampled_from(cells))
+        rest = [b for b in cells if b != first]
+        assoc[u.id] = (first, *(draw(st.lists(st.sampled_from(rest), max_size=1))
+                                if rest else ()))
+        for bid in assoc[u.id]:
+            prbs[(u.id, bid)] = sc.radio.tti_groups_for(fps[u.id]) + draw(st.integers(1, 4))
+    s1 = Stage1Solution(
+        assoc, prbs,
+        {u.id: sc.headset_of(u).resolutions[0] for u in sc.users}, fps,
+        {key: 1.0 / len(assoc[key[0]]) for key in prbs},
+        frozenset(u.id for u in sc.users),
+    )
+    return sc, s1
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(city=extra_grants())
+def test_extra_grants_match_the_reference(city):
+    sc, s1 = city
+    groups = [sc.radio.tti_groups_for(s1.frame_rate[uid]) for uid in ("u0", "u1")]
+    assert groups[0] != groups[1]
+    expected = _outcome(ref.mtpsched, sc, s1)
+    got = _outcome(mtpsched, sc, s1)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        _same_schedule(got, expected)
+        _check(got, sc, s1)
+
+
+def _hand_layout(owed, ttis=4):
+    """One cell of one PRB over `ttis` TTIs; owed holds (frame rate, grants).
+
+    A 0.03 s window gives 72 fps two groups and 30 fps one.
+    """
+    sc = make_scenario(
+        users=[{"id": f"u{k}", "position": [1008.0, 1000.0], "game": "gq"}
+               for k in range(len(owed))],
+        base_stations=[{"id": "bs0", "position": [1000.0, 1000.0], "usable_prbs": 1}],
+        radio={"ttis_per_window": ttis, "tti_s": 0.03 / ttis},
+    )
+    uids = [f"u{k}" for k in range(len(owed))]
+    s1 = Stage1Solution(
+        {uid: ("bs0",) for uid in uids},
+        {(uid, "bs0"): y for uid, (_, y) in zip(uids, owed)},
+        {uid: (960, 1080) for uid in uids},
+        {uid: fps for uid, (fps, _) in zip(uids, owed)},
+        {(uid, "bs0"): 1.0 for uid in uids},
+        frozenset(uids),
+    )
+    return sc, s1
+
+
+@pytest.mark.parametrize("owed, message", [
+    ([(72, 5)], "5 grants exceed the 4 schedulable on bs0"),
+    # u0's pin takes TTI 2 and u1's TTIs 1 and 3, so u2 finds group 0
+    # ([0, 2)) open and group 1 ([2, 4)) full; u3's debt keeps the total
+    # within the pool
+    ([(30, 1), (72, 2), (72, 2), (72, -1)], "no spare TTI left in group 1 on bs0"),
+    # u1's pin and first two extras leave one TTI for its last two extras
+    ([(30, -2), (30, 5)], "schedule of bs0 is full"),
+])
+def test_layout_errors_match_the_reference(owed, message):
+    sc, s1 = _hand_layout(owed)
+    with pytest.raises(ValueError) as raised:
+        mtpsched(sc, s1)
+    assert type(raised.value) is ValueError and str(raised.value) == message
+    assert _outcome(ref.mtpsched, sc, s1) == (ValueError, message)
+
+
+def test_seeded_flat_grants_equal_a_rebuild():
+    """amps and mtpsched share the layout's grant arrays, read-only."""
+    sc = generate_synthetic(seed=4, n_users=60, n_bs=3, n_cns=4)
+    s1 = vexa(sc)
+    sols = [amps(sc, s1), mtpsched(sc, s1)]
+    seeded = [sol._memo["flat"][1] for sol in sols]
+    for sol, flat in zip(sols, seeded):
+        fresh = Stage3Solution(sol.object_resolution, sol.schedule, sol.tti_groups)
+        rebuilt = flat_schedule(fresh, sc)
+        for name in vars(rebuilt):
+            got, want = getattr(flat, name), getattr(rebuilt, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+            assert not got.flags.writeable
+        assert flat_schedule(sol, sc) is flat
+    assert all(a is b for a, b in zip(vars(seeded[0]).values(), vars(seeded[1]).values()))
+
+
+def test_fixed_latency_is_priced_once_per_timestep(monkeypatch):
+    calls = []
+    price = stage3.fixed_latency_s
+    monkeypatch.setattr(stage3, "fixed_latency_s", lambda *a: calls.append(a) or price(*a))
+    sc = generate_synthetic(seed=4, n_users=60, n_bs=3, n_cns=4)
+    s1 = vexa(sc)
+    first = mtp_latency(amps(sc, s1), sc, s1)
+    again = mtp_latency(mtpsched(sc, s1), sc, s1)
+    assert len(calls) == sum(len(cells) for cells in s1.assoc.values())
+    assert first.average_s.keys() == again.average_s.keys()
 
 
 EDITS = (
