@@ -142,7 +142,7 @@ def _cmd_verify(args) -> int:
         raise _CliError(f"{args.solutions} is not valid JSON: {e}", 2) from e
     try:
         findings = verify_document(sc, doc)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:  # Infinity for an int
         raise _CliError(f"malformed solution document: {e}", 2) from e
     bad = 0
     for name in sorted(findings):

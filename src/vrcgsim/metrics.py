@@ -421,8 +421,20 @@ def solutions_to_doc(sc: Scenario, solutions: dict) -> dict:
     return doc
 
 
+def _int32(value, name: str, what: str) -> int:
+    v = int(value)
+    if not -2**31 <= v < 2**31:
+        raise ValueError(f"solution {name!r}: {what} {v} does not fit 32 bits")
+    return v
+
+
 def doc_to_solutions(doc: dict) -> dict:
-    """Rebuild solver outputs from a solutions document."""
+    """Rebuild solver outputs from a solutions document.
+
+    TTIs, grant counts, group starts and stage-1 grants must fit a signed
+    32-bit integer; a ValueError names the solution and the field of any
+    that does not.
+    """
     out: dict = {}
     for name, entry in doc["solutions"].items():
         stage = entry["stage"]
@@ -430,7 +442,7 @@ def doc_to_solutions(doc: dict) -> dict:
             assoc = {u: tuple(bs) for u, bs in entry["assoc"].items()}
             out[name] = Stage1Solution(
                 assoc=assoc,
-                prbs={(u, b): int(y) for u, b, y in entry["prbs"]},
+                prbs={(u, b): _int32(y, name, "prbs") for u, b, y in entry["prbs"]},
                 resolution={
                     u: tuple(r) for u, r in entry["resolution"].items()
                 },
@@ -452,7 +464,8 @@ def doc_to_solutions(doc: dict) -> dict:
         elif stage == 3:
             schedule: dict[tuple[str, int], list] = {}
             for b, tti, u, n in entry["schedule"]:
-                schedule.setdefault((b, int(tti)), []).append((u, int(n)))
+                schedule.setdefault((b, _int32(tti, name, "schedule TTI")), []).append(
+                    (u, _int32(n, name, "schedule grant count")))
             out[name] = Stage3Solution(
                 object_resolution={
                     (u, o): (int(w), int(h))
@@ -460,7 +473,8 @@ def doc_to_solutions(doc: dict) -> dict:
                 },
                 schedule={k: tuple(v) for k, v in schedule.items()},
                 tti_groups={
-                    u: tuple(starts) for u, starts in entry["tti_groups"].items()
+                    u: tuple(_int32(s, name, "tti_groups start") for s in starts)
+                    for u, starts in entry["tti_groups"].items()
                 },
             )
         else:

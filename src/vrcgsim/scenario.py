@@ -361,8 +361,7 @@ def enumerate_paths(
 
 _DEFAULTS = {
     "total_prbs": 56,
-    "usable_fraction": 0.30,
-    "usable_prbs": None,  # override wins over the fraction when set
+    "usable_prbs": None,  # default: 30 % of total_prbs
     "prb_bandwidth_hz": 360e3,
     "tx_power_dbm": 33.0,
     "coverage_radius_m": 400.0,
@@ -371,22 +370,10 @@ _DEFAULTS = {
     "shared_channel": False,
     **{f.name: f.default for f in fields(RadioParams)},
     "objects_per_user": 5,
-    "quality_fraction": 0.5,
     "user_height_m": 1.5,
-    "speed_weights": (0.4, 0.3, 0.3),
-    "ring_latency_s": 2.0e-4,
-    "ring_cap_bps": 10e9,
-    "colo_latency_s": 5.0e-5,
-    "colo_cap_bps": 10e9,
-    "regional_latency_s": 5.0e-4,
     "regional_cap_bps": 20e9,
-    "cloud_latency_s": 1.0e-3,
     "cloud_cap_bps": 40e9,
-    "link_capacity_scale": 1.0,
-    "cn_capacity_scale": 1.0,
-    "render_speed_scale": 1.0,
     "headset_catalog": None,  # list of Headset-shaped dicts plus weights
-    "n_games": 12,
 }
 
 _CN_TIERS = {
@@ -450,7 +437,7 @@ def generate_synthetic(
     usable = (
         int(p["usable_prbs"])
         if p["usable_prbs"] is not None
-        else int(math.floor(p["usable_fraction"] * p["total_prbs"]))
+        else int(math.floor(0.30 * p["total_prbs"]))
     )
 
     bs_positions = []
@@ -465,36 +452,33 @@ def generate_synthetic(
 
     cns: list[ComputeNode] = []
 
-    def make_cn(cid, tier, pos, scale_cap, scale_render):
+    def make_cn(cid, tier, pos):
         render, gpu, cpu, ram, net, fixed, costs = _CN_TIERS[tier]
         return ComputeNode(
             id=cid,
             tier=tier,
             position=pos,
-            gpu_cap=gpu * scale_cap,
-            cpu_cap=cpu * scale_cap,
-            ram_cap=ram * scale_cap,
-            net_cap=net * scale_cap,
-            render_speed_pps=render * scale_render,
+            gpu_cap=gpu,
+            cpu_cap=cpu,
+            ram_cap=ram,
+            net_cap=net,
+            render_speed_pps=render,
             fixed_cost=fixed,
             unit_costs=costs,
         )
 
-    cap_s = p["cn_capacity_scale"]
-    ren_s = p["render_speed_scale"]
     for i in range(n_edge):
-        cns.append(make_cn(f"cn{i}", "edge", bs_positions[i], cap_s, ren_s))
+        cns.append(make_cn(f"cn{i}", "edge", bs_positions[i]))
     for j in range(n_regional):
-        cns.append(make_cn(f"cn{n_edge + j}", "regional", (w * 0.5, h * 0.5), cap_s, ren_s))
+        cns.append(make_cn(f"cn{n_edge + j}", "regional", (w * 0.5, h * 0.5)))
     for j in range(n_cloud):
-        cns.append(make_cn(f"cn{n_edge + n_regional + j}", "cloud", (w * 1.5, h * 1.5), cap_s, ren_s))
+        cns.append(make_cn(f"cn{n_edge + n_regional + j}", "cloud", (w * 1.5, h * 1.5)))
 
     links: list[Link] = []
-    ls = p["link_capacity_scale"]
 
     def add_pair(a, b, cap, lat):
-        links.append(Link(src=a, dst=b, capacity_bps=cap * ls, latency_s=lat))
-        links.append(Link(src=b, dst=a, capacity_bps=cap * ls, latency_s=lat))
+        links.append(Link(src=a, dst=b, capacity_bps=cap, latency_s=lat))
+        links.append(Link(src=b, dst=a, capacity_bps=cap, latency_s=lat))
 
     # ring over the edge CNs, base stations attached to their co-located CN
     ring = [f"cn{i}" for i in range(n_edge)]
@@ -503,22 +487,22 @@ def generate_synthetic(
             a, b = ring[i], ring[(i + 1) % len(ring)]
             if len(ring) == 2 and i == 1:
                 break  # avoid duplicating the single pair on a 2-node ring
-            add_pair(a, b, p["ring_cap_bps"], p["ring_latency_s"])
+            add_pair(a, b, 10e9, 2.0e-4)
     for i in range(n_bs):
         cn_anchor = ring[i % len(ring)]
-        add_pair(cn_anchor, f"bs{i}", p["colo_cap_bps"], p["colo_latency_s"])
+        add_pair(cn_anchor, f"bs{i}", 10e9, 5.0e-5)
     regional_ids = [c.id for c in cns if c.tier == "regional"]
     for j, rid in enumerate(regional_ids):
         a1 = ring[(j * len(ring)) // max(1, len(regional_ids)) % len(ring)]
         a2 = ring[((j * len(ring)) // max(1, len(regional_ids)) + len(ring) // 2) % len(ring)]
-        add_pair(rid, a1, p["regional_cap_bps"], p["regional_latency_s"])
+        add_pair(rid, a1, p["regional_cap_bps"], 5.0e-4)
         if a2 != a1:
-            add_pair(rid, a2, p["regional_cap_bps"], p["regional_latency_s"])
+            add_pair(rid, a2, p["regional_cap_bps"], 5.0e-4)
     cloud_ids = [c.id for c in cns if c.tier == "cloud"]
     for cid in cloud_ids:
         anchors = regional_ids if regional_ids else [ring[0], ring[len(ring) // 2]]
         for a in dict.fromkeys(anchors):
-            add_pair(cid, a, p["cloud_cap_bps"], p["cloud_latency_s"])
+            add_pair(cid, a, p["cloud_cap_bps"], 1.0e-3)
 
     links_t = tuple(links)
 
@@ -564,7 +548,7 @@ def generate_synthetic(
         hs_weights = tuple(x / sum(raw) for x in raw)
     if errs:
         raise ScenarioError(errs)
-    games = default_games(int(p["n_games"]))
+    games = default_games(12)
     quality_games = [g for g in games if g.preference_mode == "quality"]
     perf_games = [g for g in games if g.preference_mode == "performance"]
 
@@ -580,7 +564,7 @@ def generate_synthetic(
         else:
             raise ValueError("could not draw a user position inside coverage")
         hs = headsets[int(rng.choice(len(headsets), p=hs_weights))]
-        if rng.random() < p["quality_fraction"]:
+        if rng.random() < 0.5:
             game = quality_games[int(rng.integers(len(quality_games)))]
         else:
             game = perf_games[int(rng.integers(len(perf_games)))]
@@ -590,7 +574,7 @@ def generate_synthetic(
             VirtualObject(id=f"o{j}", pixel_share=float(shares[j]), attention=float(attention[j]))
             for j in range(n_obj)
         )
-        speed = speed_values[int(rng.choice(len(speed_values), p=p["speed_weights"]))]
+        speed = speed_values[int(rng.choice(len(speed_values), p=(0.4, 0.3, 0.3)))]
         users.append(
             User(
                 id=f"u{i}",

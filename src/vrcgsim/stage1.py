@@ -63,6 +63,18 @@ class Stage1Solution:
     _memo: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
 
+def _kept(owner, sc: Scenario, key: str, build):
+    """owner._memo[key], made by build() unless it was made for this scenario.
+
+    An entry is (scenario, value): what a solution derives is kept for the
+    scenario instance it was derived on, and made afresh for any other.
+    """
+    kept = owner._memo.get(key)
+    if kept is None or kept[0] is not sc:
+        kept = owner._memo[key] = (sc, build())
+    return kept[1]
+
+
 def grant_pool(bs: BaseStation, radio: RadioParams) -> int:
     """Schedulable grants per window: one grant is one PRB for one TTI."""
     return bs.usable_prbs * radio.ttis_per_window

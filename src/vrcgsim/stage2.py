@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .radio import latency_breakdown, traffic_load_bps
 from .scenario import ComputeNode, Scenario, pixels
-from .stage1 import Stage1Solution, Violation
+from .stage1 import Stage1Solution, Violation, _kept
 
 _REL_TOL = 1e-9
 
@@ -130,12 +130,10 @@ class Stage2Inputs:
 
 def stage2_inputs(sc: Scenario, stage1: Stage1Solution) -> Stage2Inputs:
     """The timestep's table, built on first use and kept on stage1."""
-    kept = stage1._memo.get("stage2_inputs")
-    if kept is None or kept[0] is not sc:
-        columns = stage1_columns(sc, stage1)
-        demand = {uid: demand_profile(sc, stage1, uid) for uid in stage1.admitted}
-        kept = stage1._memo["stage2_inputs"] = (sc, Stage2Inputs(columns, demand))
-    return kept[1]
+    return _kept(stage1, sc, "stage2_inputs", lambda: Stage2Inputs(
+        stage1_columns(sc, stage1),
+        {uid: demand_profile(sc, stage1, uid) for uid in stage1.admitted},
+    ))
 
 
 # ---------------------------------------------------------------------------

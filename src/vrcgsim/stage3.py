@@ -18,11 +18,12 @@ group coverage on purpose.
 
 mtp_latency and verify_stage3 read a schedule through flat_schedule, its
 grants as arrays, built at most once per solution; amps and mtpsched
-come with the layout's flat grants already in place.
+come with the layout's flat grants already in place. verify_stage3
+decides each schedule rule once, as array passes over those grants, and
+words only what they find, as a grant-by-grant audit would.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain, repeat
@@ -32,7 +33,7 @@ import numpy as np
 
 from .radio import fixed_latency_s, link_tables, traffic_load_bps
 from .scenario import Scenario, pixels
-from .stage1 import Stage1Solution, Violation, is_quality
+from .stage1 import Stage1Solution, Violation, _kept, is_quality
 
 ResMap = dict[tuple[str, str], tuple[int, int]]
 
@@ -232,11 +233,7 @@ def mtpsched(
     """
     if resolutions is None:
         resolutions = stage1_object_resolutions(sc, stage1)
-    kept = stage1._memo.get("grant_layout")
-    if kept is None or kept[0] is not sc:
-        kept = (sc, *_grant_layout(sc, stage1))
-        stage1._memo["grant_layout"] = kept
-    _, schedule, groups, flat = kept
+    schedule, groups, flat = _kept(stage1, sc, "grant_layout", lambda: _grant_layout(sc, stage1))
     solution = Stage3Solution(resolutions, dict(schedule), dict(groups))
     # its own view of the shared read-only grant arrays
     solution._memo["flat"] = (sc, replace(flat))
@@ -526,15 +523,15 @@ def flat_schedule(solution: Stage3Solution, sc: Scenario) -> FlatSchedule:
 
     Raises OverflowError when a TTI or grant count does not fit 64 bits.
     """
-    kept = solution._memo.get("flat")
-    if kept is not None and kept[0] is sc:
-        return kept[1]
+    return _kept(solution, sc, "flat", lambda: _flatten(solution.schedule, sc))
+
+
+def _flatten(sched, sc: Scenario) -> FlatSchedule:
     lt = link_tables(sc)
-    sched = solution.schedule
     sizes = np.fromiter(map(len, sched.values()), dtype=np.intp, count=len(sched))
     # user, n, user, n, ... over every entry
     parts = list(chain.from_iterable(chain.from_iterable(sched.values())))
-    flat = FlatSchedule(
+    return FlatSchedule(
         key=np.repeat(np.arange(len(sched), dtype=np.int32), sizes),
         user=np.fromiter(
             map(lt.user_index.get, parts[0::2], repeat(-1)),
@@ -547,8 +544,6 @@ def flat_schedule(solution: Stage3Solution, sc: Scenario) -> FlatSchedule:
         ),
         key_tti=np.fromiter(map(itemgetter(1), sched), dtype=np.int64, count=len(sched)),
     )
-    solution._memo["flat"] = (sc, flat)
-    return flat
 
 
 # ---------------------------------------------------------------------------
@@ -610,23 +605,12 @@ def mtp_latency(
 
     # each user's frame stream and the fixed parts of its latency; those
     # read stage 1 alone, so they are priced once per stage-1 solution
-    kept = stage1._memo.get("mtp_fixed")
-    fixed = kept[1] if kept is not None and kept[0] is sc else None
-    fps_of, fixed_of, per_frame = [], [], []
-    for u in users:
-        fps = stage1.frame_rate[u.id]
-        if fixed is None:
-            res = stage1.resolution[u.id]
-            fixed_of.append(max(
-                fixed_latency_s(sc, u, sc.bs(bid), res, fps) for bid in stage1.assoc[u.id]
-            ))
-        per_frame.append(objects_load(sc, stage1, solution.object_resolution, u.id) / fps)
-        fps_of.append(fps)
-    if fixed is None:
-        fixed = np.array(fixed_of)
-        fixed.flags.writeable = False
-        stage1._memo["mtp_fixed"] = (sc, fixed)
-    per_frame = np.array(per_frame)
+    fixed = _kept(stage1, sc, "mtp_fixed", lambda: _fixed_latencies(sc, stage1, users))
+    fps_of = [stage1.frame_rate[u.id] for u in users]
+    per_frame = np.array([
+        objects_load(sc, stage1, solution.object_resolution, u.id) / fps
+        for u, fps in zip(users, fps_of)
+    ])
     n_frames = [max(1, math.ceil(fps * window - 1e-9)) for fps in fps_of]
     fps = np.array(fps_of, dtype=float)
     frames = np.array(n_frames)
@@ -687,6 +671,19 @@ def mtp_latency(
     )
 
 
+def _fixed_latencies(sc: Scenario, stage1: Stage1Solution, users) -> np.ndarray:
+    """Each user's fixed latency parts at its worst serving cell, read-only."""
+    fixed = np.array([
+        max(
+            fixed_latency_s(sc, u, sc.bs(bid), stage1.resolution[u.id], stage1.frame_rate[u.id])
+            for bid in stage1.assoc[u.id]
+        )
+        for u in users
+    ])
+    fixed.flags.writeable = False
+    return fixed
+
+
 # ---------------------------------------------------------------------------
 # Verification
 
@@ -696,10 +693,13 @@ def verify_stage3(
 ) -> list[Violation]:
     """Independent audit of a stage-3 solution against stage-1 commitments.
 
-    The schedule is first audited as numpy passes over its arrays. Only
-    when those find something, or meet an id the scenario does not know,
-    is it audited again grant by grant to word the violations, so the
-    list and its order are those of the plain audit.
+    The schedule is audited by array passes over its grants, each rule
+    decided once. Only what they find is worded, from the schedule itself,
+    in the order a grant-by-grant audit lists it: key by key, then
+    (user, cell) pair by pair, then user by user. Its arithmetic is exact
+    while TTIs, counts and group starts fit 32 bits, the bound
+    doc_to_solutions holds documents to; past 64 bits flat_schedule
+    raises OverflowError.
     """
     out: list[Violation] = []
     wanted = {
@@ -724,149 +724,137 @@ def verify_stage3(
                 out.append(
                     Violation("objects", f"{u.id}/{o.id}", f"{res} not offered by {hs.id}")
                 )
-    try:
-        clean = _schedule_clean(flat_schedule(solution, sc), solution, sc, stage1)
-    except OverflowError:  # a TTI or count past 64 bits: only the loops can say
-        clean = False
-    if not clean:
-        out += _schedule_violations(solution, sc, stage1)
-    return out
+    return out + _schedule_audit(solution, sc, stage1)
 
 
-def _schedule_clean(
-    flat: FlatSchedule, solution: Stage3Solution, sc: Scenario, stage1: Stage1Solution
-) -> bool:
-    """True when _schedule_violations would find nothing."""
+def _schedule_audit(
+    solution: Stage3Solution, sc: Scenario, stage1: Stage1Solution
+) -> list[Violation]:
+    """The schedule's part of verify_stage3."""
+    out: list[Violation] = []
+    flat = flat_schedule(solution, sc)
     lt = link_tables(sc)
     ttis = sc.radio.ttis_per_window
     nb = len(sc.base_stations)
-    if (flat.user < 0).any() or (flat.key_bs < 0).any():
-        return False
-    # every grant positive, inside the window, within its cell's PRBs
-    if (flat.n <= 0).any() or (flat.key_tti < 0).any() or (flat.key_tti >= ttis).any():
-        return False
-    usable = np.array([b.usable_prbs for b in sc.base_stations])
-    used = np.bincount(flat.key, weights=flat.n, minlength=len(flat.key_bs))
-    if (used > usable[flat.key_bs]).any():
-        return False
+    if (flat.key_bs < 0).any():  # a cell the scenario does not know
+        raise KeyError(list(solution.schedule)[int(np.argmax(flat.key_bs < 0))][0])
 
-    # every (user, cell) pair gets exactly its stage-1 grants, others none
-    pair = flat.user.astype(np.int64) * nb + flat.key_bs[flat.key]
-    given = np.bincount(pair, weights=flat.n, minlength=len(sc.users) * nb)
-    owed = np.zeros_like(given)
+    # key by key: every grant positive, every TTI inside the window, every
+    # cell within its PRBs
+    usable = np.array([b.usable_prbs for b in sc.base_stations], dtype=np.int64)
+    used = np.bincount(flat.key, weights=flat.n, minlength=flat.key_bs.size)
+    empty = flat.n <= 0
+    outside = (flat.key_tti < 0) | (flat.key_tti >= ttis)
+    over = used > usable[flat.key_bs]
+    found = outside | over
+    found[flat.key[empty]] = True
+    ghost = flat.user < 0  # a user the scenario does not know
+    if found.any() or ghost.any():
+        items = list(solution.schedule.items())
+        cuts = np.searchsorted(flat.key, np.arange(len(items) + 1)).tolist()
+    for k in np.flatnonzero(found).tolist():
+        (bid, tti), entries = items[k]
+        for e in np.flatnonzero(empty[cuts[k]:cuts[k + 1]]).tolist():
+            out.append(
+                Violation("grants", f"{entries[e][0]}@{bid}", f"empty grant in TTI {tti}")
+            )
+        if outside[k]:
+            out.append(Violation("grants", bid, f"TTI {tti} outside the window"))
+        if over[k]:
+            out.append(
+                Violation(
+                    "capacity", bid,
+                    f"{int(used[k])} PRBs in TTI {tti}, usable {sc.bs(bid).usable_prbs}",
+                )
+            )
+
+    # pair by pair: every (user, cell) pair gets exactly its stage-1
+    # grants, others none; unknown users' grants add up past the last pair
+    cells = len(sc.users) * nb
+    pair = np.where(ghost, cells, flat.user.astype(np.int64) * nb + flat.key_bs[flat.key])
+    given = np.bincount(pair, weights=flat.n, minlength=cells + 1)[:cells]
+    granted = np.bincount(pair, minlength=cells + 1)[:cells] > 0
+    codes, owes = [], []
+    strange: list[tuple[str, str]] = []  # owed pairs the scenario does not know
     for (uid, bid), y in stage1.prbs.items():
-        if uid not in lt.user_index or bid not in lt.bs_index:
-            return False
-        owed[lt.user_index[uid] * nb + lt.bs_index[bid]] = y
-    if (given != owed).any():
-        return False
+        i, c = lt.user_index.get(uid), lt.bs_index.get(bid)
+        if i is None or c is None:
+            strange.append((uid, bid))
+        else:
+            codes.append(i * nb + c)
+            owes.append(y)
+    owed = np.zeros(cells)
+    owed[codes] = owes
+    listed = np.zeros(cells, dtype=bool)
+    listed[codes] = True
+    wrong = listed & (given != owed)
+    unserved = granted & ~listed
+    if wrong.any() or unserved.any() or strange or ghost.any():
+        uids = [u.id for u in sc.users]
+        bids = [b.id for b in sc.base_stations]
+        # the grants of unknown users, and of the known pairs worded here
+        got: dict[tuple[str, str], int] = {}
+        for e in np.flatnonzero(ghost).tolist():
+            k = int(flat.key[e])
+            (bid, _), entries = items[k]
+            uid, n = entries[e - cuts[k]]
+            got[(uid, bid)] = got.get((uid, bid), 0) + n
+        wrong_pairs = [(uids[c // nb], bids[c % nb]) for c in np.flatnonzero(wrong).tolist()]
+        got.update(zip(wrong_pairs, map(int, given[wrong])))
+        for uid, bid in sorted(wrong_pairs + strange):
+            n, y = got.get((uid, bid), 0), stage1.prbs[(uid, bid)]
+            if n != y:
+                out.append(Violation("grants", f"{uid}@{bid}", f"scheduled {n} of {y} grants"))
+        stray = [(uids[c // nb], bids[c % nb]) for c in np.flatnonzero(unserved).tolist()]
+        for uid, bid in sorted(stray + [p for p in got if p not in stage1.prbs]):
+            out.append(Violation("grants", f"{uid}@{bid}", "grants for unserved pair"))
 
-    # a transmission in every TTI group, on every serving cell
+    # user by user: a transmission in every TTI group on every serving cell
     users = [u for u in sc.users if u.id in stage1.admitted]
-    pairs_by_groups: dict[tuple[int, ...], list[int]] = {}
+    sent = (flat.n > 0) & ~ghost
+    tti = flat.key_tti[flat.key[sent]]
+    # TTIs may lie outside the window and starts anywhere: bounds clipped
+    # to just past the granted TTIs count the same transmissions below them
+    lo, hi = (int(tti.min()) - 1, int(tti.max()) + 1) if tti.size else (0, 0)
+    span = hi - lo + 1
+    tx = np.sort(pair[sent] * span + (tti - lo))
+    rows: list[tuple[str, str | None]] = []  # (user, serving cell), or (user, None)
+    missing: dict[int, int | None] = {}  # row -> first group without a transmission
+    by_starts: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}  # rows, pairs
     for u in users:
         starts = solution.tti_groups.get(u.id)
         if not starts:
-            return False
+            missing[len(rows)] = None
+            rows.append((u.id, None))
+            continue
+        at, pairs = by_starts.setdefault(tuple(starts), ([], []))
+        i = lt.user_index[u.id]
         for bid in stage1.assoc[u.id]:
-            if bid not in lt.bs_index:
-                return False
-            pairs_by_groups.setdefault(tuple(starts), []).append(
-                lt.user_index[u.id] * nb + lt.bs_index[bid])
-    tx = np.sort(pair * (ttis + 1) + flat.key_tti[flat.key])
-    for starts, pairs in pairs_by_groups.items():
-        # grants all lie in [0, ttis), so clipping the bounds there keeps the answer
-        bounds = np.clip(np.array(starts + (ttis,), dtype=np.int64), 0, ttis)
-        base = np.array(pairs, dtype=np.int64)[:, None] * (ttis + 1)
-        first = np.searchsorted(tx, (base + bounds[:-1]).ravel())
-        past = np.searchsorted(tx, (base + bounds[1:]).ravel())
-        if (past <= first).any():
-            return False
+            c = lt.bs_index.get(bid)  # an unknown cell has no transmissions
+            at.append(len(rows))
+            pairs.append(-1 if c is None else i * nb + c)
+            rows.append((u.id, bid))
+    for starts, (at, pairs) in by_starts.items():
+        bounds = np.clip(np.array(starts + (ttis,), dtype=np.int64), lo, hi) - lo
+        below = np.searchsorted(tx, np.array(pairs, dtype=np.int64)[:, None] * span + bounds)
+        gap = below[:, 1:] <= below[:, :-1]
+        hit = np.flatnonzero(gap.any(axis=1))
+        missing.update(zip(np.array(at)[hit].tolist(), gap[hit].argmax(axis=1).tolist()))
+    for r in sorted(missing):
+        uid, bid = rows[r]
+        if bid is None:
+            out.append(Violation("groups", uid, "no TTI groups recorded"))
+        else:
+            out.append(
+                Violation("groups", f"{uid}@{bid}", f"group {missing[r]} has no transmission")
+            )
 
-    # the scene fits the stage-1 budget and the grants carry it
+    # user by user: the scene fits the stage-1 budget and the grants carry it
     for u in users:
         try:
             scene = objects_load(sc, stage1, solution.object_resolution, u.id)
         except KeyError:
             continue  # reported as a missing object
-        ceiling = traffic_load_bps(
-            sc, 1.0, stage1.resolution[u.id], stage1.frame_rate[u.id]
-        )
-        served = sum(
-            float(given[lt.user_index[u.id] * nb + lt.bs_index[bid]]) * lt.se_of(u.id, bid)
-            for bid in stage1.assoc[u.id]
-        )
-        if scene > ceiling * (1 + 1e-9) or served < scene * (1 - 1e-9):
-            return False
-    return True
-
-
-def _schedule_violations(
-    solution: Stage3Solution, sc: Scenario, stage1: Stage1Solution
-) -> list[Violation]:
-    """The schedule's part of the audit, grant by grant."""
-    out: list[Violation] = []
-    lt = link_tables(sc)
-    ttis = sc.radio.ttis_per_window
-    given: dict[tuple[str, str], int] = {}
-    tx_ttis: dict[tuple[str, str], set[int]] = {}
-    for (bid, tti), entries in solution.schedule.items():
-        used = 0
-        for uid, n in entries:
-            if n <= 0:
-                out.append(
-                    Violation("grants", f"{uid}@{bid}", f"empty grant in TTI {tti}")
-                )
-            else:
-                tx_ttis.setdefault((uid, bid), set()).add(tti)
-            used += n
-            given[(uid, bid)] = given.get((uid, bid), 0) + n
-        if not 0 <= tti < ttis:
-            out.append(Violation("grants", bid, f"TTI {tti} outside the window"))
-        if used > sc.bs(bid).usable_prbs:
-            out.append(
-                Violation(
-                    "capacity", bid, f"{used} PRBs in TTI {tti}, usable {sc.bs(bid).usable_prbs}"
-                )
-            )
-
-    for (uid, bid), y in sorted(stage1.prbs.items()):
-        got = given.get((uid, bid), 0)
-        if got != y:
-            out.append(
-                Violation("grants", f"{uid}@{bid}", f"scheduled {got} of {y} grants")
-            )
-    for (uid, bid) in sorted(set(given) - set(stage1.prbs)):
-        out.append(Violation("grants", f"{uid}@{bid}", "grants for unserved pair"))
-
-    for u in sc.users:
-        if u.id not in stage1.admitted:
-            continue
-        starts = solution.tti_groups.get(u.id)
-        if not starts:
-            out.append(Violation("groups", u.id, "no TTI groups recorded"))
-            continue
-        bounds = list(starts) + [ttis]
-        for bid in stage1.assoc[u.id]:
-            mine = sorted(tx_ttis.get((u.id, bid), ()))
-            for j in range(len(starts)):
-                # the first transmission at or after the group's start
-                k = bisect.bisect_left(mine, bounds[j])
-                if k == len(mine) or mine[k] >= bounds[j + 1]:
-                    out.append(
-                        Violation(
-                            "groups", f"{u.id}@{bid}", f"group {j} has no transmission"
-                        )
-                    )
-                    break
-
-    for u in sc.users:
-        if u.id not in stage1.admitted:
-            continue
-        try:
-            scene = objects_load(sc, stage1, solution.object_resolution, u.id)
-        except KeyError:
-            continue  # already reported as a missing object
         ceiling = traffic_load_bps(
             sc, 1.0, stage1.resolution[u.id], stage1.frame_rate[u.id]
         )
@@ -876,14 +864,13 @@ def _schedule_violations(
                     "load", u.id, f"scene needs {scene:.6g} bit/s over the {ceiling:.6g} budget"
                 )
             )
+        i = lt.user_index[u.id]
         served = sum(
-            given.get((u.id, bid), 0) * lt.se_of(u.id, bid)
+            float(given[i * nb + lt.bs_index[bid]]) * lt.se_of(u.id, bid)
             for bid in stage1.assoc[u.id]
         )
         if served < scene * (1 - 1e-9):
             out.append(
-                Violation(
-                    "throughput", u.id, f"served {served:.6g} bit/s of {scene:.6g}"
-                )
+                Violation("throughput", u.id, f"served {served:.6g} bit/s of {scene:.6g}")
             )
     return out

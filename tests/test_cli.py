@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from helpers import tiny_scenario
 from vrcgsim.cli import main
 from vrcgsim.metrics import CSV_COLUMNS
@@ -80,6 +82,25 @@ def test_verify_flags_tampered_grants(tmp_path, capsys):
     sols.write_text(json.dumps(doc))
     assert main(["verify", str(sc_path), str(sols)]) == 1
     assert "amps:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("column, value, words", [
+    (1, 2**70, f"'amps': schedule TTI {2**70} does not fit 32 bits"),
+    (3, 2**70, f"'amps': schedule grant count {2**70} does not fit 32 bits"),
+    (1, float("inf"), "cannot convert float infinity to integer"),
+])
+def test_verify_rejects_integers_past_32_bits(tmp_path, capsys, column, value, words):
+    sc_path = tmp_path / "sc.json"
+    sols = tmp_path / "sols.json"
+    main(["generate", *RUN, "--out", str(sc_path)])
+    main(["run", str(sc_path), "--methods", "vexa,amps",
+          "--out", str(tmp_path / "r.csv"), "--solutions", str(sols)])
+    doc = json.loads(sols.read_text())
+    doc["solutions"]["amps"]["schedule"][0][column] = value
+    sols.write_text(json.dumps(doc))
+    assert main(["verify", str(sc_path), str(sols)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed solution document" in err and words in err
 
 
 def test_compare_reports_gaps(tmp_path, capsys):

@@ -89,10 +89,6 @@ def _check(sol, sc, s1):
         _outcome(ref.mtp_latency, sol, sc, s1))
     found = _outcome(ref.verify_stage3, sol, sc, s1)
     assert _outcome(verify_stage3, sol, sc, s1) == found
-    # the numpy passes clear a schedule exactly when the loops find nothing
-    # in it, so a clean schedule never takes the slow path
-    clean = isinstance(found, list) and all(v.kind == "objects" for v in found)
-    assert stage3._schedule_clean(flat_schedule(sol, sc), sol, sc, s1) == clean
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -250,7 +246,7 @@ def test_fixed_latency_is_priced_once_per_timestep(monkeypatch):
 EDITS = (
     "drop", "move", "zero", "negative", "add-empty", "duplicate", "overfill",
     "outside", "unserved", "ghost-user", "ghost-cell", "regroup", "no-groups",
-    "short", "upgrade", "missing-object", "unknown-object", "off-menu",
+    "short", "upgrade", "missing-object", "unknown-object", "off-menu", "starts",
 )
 
 
@@ -332,6 +328,16 @@ def _doctor(kind, draw, sol, sc, s1):
             del groups[uid]
         else:
             groups[uid] = ()
+    elif kind == "starts":
+        # group starts edited by hand: unsorted, negative or past the window
+        starts = draw(st.lists(st.integers(-3, ttis + 3), min_size=1, max_size=4))
+        if draw(st.booleans()):
+            # one more grant, owed too, outside the window and alone in group 0
+            tti = draw(st.sampled_from([-2, -1, ttis, ttis + 3]))
+            schedule.setdefault((bid, tti), []).append((uid, 1))
+            prbs[(uid, bid)] += 1
+            starts[:0] = [tti, tti + 1]
+        groups[uid] = tuple(starts)
     elif kind == "short":
         # grants go, and stage 1 owes fewer, until they no longer carry the scene
         scene = stage3.objects_load(sc, s1, resolutions, uid)
