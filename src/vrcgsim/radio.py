@@ -7,9 +7,10 @@ are built once per scenario instance and kept with it; step_positions
 makes a new instance, so every timestep gets its own tables. Latency is
 decomposed into six parts (crosshaul routing, rendering, propagation,
 transmission, frame processing, queueing) and a frame misses its deadline
-when the sum for some serving base station exceeds the frame period. The
-first four parts are fixed by the stream and the serving cell
-(fixed_latency_s); each caller adds its own air-time and queueing terms.
+when the sum for some serving base station exceeds the frame period.
+Routing, rendering, propagation and frame processing are fixed by the
+stream and the serving cell (fixed_parts); stage1.latency_columns adds
+the air time of a solution's grants and the queueing its arrivals cause.
 """
 from __future__ import annotations
 
@@ -106,28 +107,6 @@ def frame_bits(sc: Scenario, resolution: tuple[int, int]) -> float:
     return pixels(resolution) * sc.radio.bits_per_pixel * sc.radio.compression_rate
 
 
-@dataclass(frozen=True)
-class LatencyBreakdown:
-    routing_s: float
-    render_s: float
-    propagation_s: float
-    transmission_s: float
-    processing_s: float
-    buffer_s: float
-    binding_bs: str  # base station whose column sum is the bottleneck
-
-    @property
-    def total_s(self) -> float:
-        return (
-            self.routing_s
-            + self.render_s
-            + self.propagation_s
-            + self.transmission_s
-            + self.processing_s
-            + self.buffer_s
-        )
-
-
 def routing_latency_s(sc: Scenario, bs: BaseStation) -> float:
     """Best crosshaul route latency from the cell's nearest node to the BS."""
     ps = sc.paths(bs.id, bs.nearest_cn)  # fastest first
@@ -138,7 +117,7 @@ def render_latency_s(sc: Scenario, resolution: tuple[int, int], fps: float, cn_i
     return pixels(resolution) * fps / sc.cn(cn_id).render_speed_pps
 
 
-def _fixed_parts(
+def fixed_parts(
     sc: Scenario, user: User, bs: BaseStation, resolution: tuple[int, int], fps: float
 ) -> tuple[float, float, float, float]:
     """Routing, render, propagation and frame processing of one column.
@@ -159,10 +138,10 @@ def fixed_latency_s(
 ) -> float:
     """The fixed parts of one column, rendered at the cell's nearest node.
 
-    Summed in the order _fixed_parts lists them; each caller adds its own
+    Summed in the order fixed_parts lists them; each caller adds its own
     air-time and queueing terms on top.
     """
-    return sum(_fixed_parts(sc, user, bs, resolution, fps))
+    return sum(fixed_parts(sc, user, bs, resolution, fps))
 
 
 def buffer_latency_s(bs: BaseStation, arrival_fps: float) -> float:
@@ -171,45 +150,3 @@ def buffer_latency_s(bs: BaseStation, arrival_fps: float) -> float:
     if slack <= 0:
         return math.inf
     return 1.0 / slack
-
-
-def latency_breakdown(
-    sc: Scenario,
-    user: User,
-    serving: tuple[str, ...],
-    resolution: tuple[int, int],
-    fps: float,
-    prbs_per_bs: dict[str, int],
-    arrivals_fps: dict[str, float],
-) -> LatencyBreakdown:
-    """Six-part frame latency; the slowest serving base station binds.
-
-    arrivals_fps is the total frame arrival rate per BS including this user.
-    """
-    if not serving:
-        raise ValueError(f"user {user.id} has no serving base station")
-    # this runs per user and cell, so it reads the cached tables directly
-    lt = sc._lookup.get("links") or link_tables(sc)
-    bits = frame_bits(sc, resolution)
-    best: LatencyBreakdown | None = None
-    for bid in serving:
-        bs = sc.bs(bid)
-        routing, render, propagation, processing = _fixed_parts(sc, user, bs, resolution, fps)
-        grants = prbs_per_bs.get(bid, 0)
-        if grants <= 0:
-            tx = math.inf
-        else:
-            tx = bits / (grants * lt.se_of(user.id, bid))
-        cand = LatencyBreakdown(
-            routing_s=routing,
-            render_s=render,
-            propagation_s=propagation,
-            transmission_s=tx,
-            processing_s=processing,
-            buffer_s=buffer_latency_s(bs, arrivals_fps.get(bid, 0.0)),
-            binding_bs=bid,
-        )
-        if best is None or cand.total_s > best.total_s:
-            best = cand
-    assert best is not None
-    return best

@@ -360,17 +360,11 @@ def enumerate_paths(
 # Synthetic generation
 
 _DEFAULTS = {
-    "total_prbs": 56,
-    "usable_prbs": None,  # default: 30 % of total_prbs
-    "prb_bandwidth_hz": 360e3,
-    "tx_power_dbm": 33.0,
-    "coverage_radius_m": 400.0,
-    "processing_capacity_bps": 1e9,
+    "usable_prbs": None,  # default: 30 % of the 56 PRBs a cell has
     "frame_capacity_fps": 1e5,
     "shared_channel": False,
     **{f.name: f.default for f in fields(RadioParams)},
     "objects_per_user": 5,
-    "user_height_m": 1.5,
     "regional_cap_bps": 20e9,
     "cloud_cap_bps": 40e9,
     "headset_catalog": None,  # list of Headset-shaped dicts plus weights
@@ -434,11 +428,7 @@ def generate_synthetic(
     if w / cols < 1.0 or h / rows < 1.0:
         raise ValueError("area too small to place the requested base stations")
 
-    usable = (
-        int(p["usable_prbs"])
-        if p["usable_prbs"] is not None
-        else int(math.floor(0.30 * p["total_prbs"]))
-    )
+    usable = int(p["usable_prbs"]) if p["usable_prbs"] is not None else 16
 
     bs_positions = []
     for i in range(n_bs):
@@ -506,34 +496,6 @@ def generate_synthetic(
 
     links_t = tuple(links)
 
-    # nearest CN per BS by best route latency (tie: lower CN id)
-    bss: list[BaseStation] = []
-    for i, pos in enumerate(bs_positions):
-        best = None
-        for c in cns:
-            ps = enumerate_paths(links_t, f"bs{i}", c.id, 1)
-            if ps:
-                key = (ps[0].latency_s, c.id)
-                if best is None or key < best[0]:
-                    best = (key, c.id)
-        if best is None:
-            raise ValueError(f"base station bs{i} unreachable from every compute node")
-        bss.append(
-            BaseStation(
-                id=f"bs{i}",
-                position=pos,
-                total_prbs=int(p["total_prbs"]),
-                usable_prbs=usable,
-                prb_bandwidth_hz=p["prb_bandwidth_hz"],
-                tx_power_dbm=p["tx_power_dbm"],
-                processing_capacity_bps=p["processing_capacity_bps"],
-                frame_capacity_fps=p["frame_capacity_fps"],
-                channel_id=0 if p["shared_channel"] else i,
-                coverage_radius_m=p["coverage_radius_m"],
-                nearest_cn=best[1],
-            )
-        )
-
     errs: list[str] = []
     radio = _codec(RadioParams).load({f.name: p[f.name] for f in fields(RadioParams)}, errs, "radio")
     if p["headset_catalog"] is None:
@@ -548,6 +510,33 @@ def generate_synthetic(
         hs_weights = tuple(x / sum(raw) for x in raw)
     if errs:
         raise ScenarioError(errs)
+
+    # nearest CN per BS by best route latency (tie: lower CN id), read off
+    # the routes the scenario keeps; _checked rejects a k_paths below 1
+    # before they are kept, so until then the search takes one route
+    k = max(radio.k_paths, 1)
+    routes = _routes(links_t, [f"bs{i}" for i in range(n_bs)], [c.id for c in cns], k)
+    bss: list[BaseStation] = []
+    for i, pos in enumerate(bs_positions):
+        firsts = [(ps[0].latency_s, c.id) for c in cns if (ps := routes.get((f"bs{i}", c.id)))]
+        if not firsts:
+            raise ValueError(f"base station bs{i} unreachable from every compute node")
+        bss.append(
+            BaseStation(
+                id=f"bs{i}",
+                position=pos,
+                total_prbs=56,
+                usable_prbs=usable,
+                prb_bandwidth_hz=360e3,
+                tx_power_dbm=33.0,
+                processing_capacity_bps=1e9,
+                frame_capacity_fps=p["frame_capacity_fps"],
+                channel_id=0 if p["shared_channel"] else i,
+                coverage_radius_m=400.0,
+                nearest_cn=min(firsts)[1],
+            )
+        )
+
     games = default_games(12)
     quality_games = [g for g in games if g.preference_mode == "quality"]
     perf_games = [g for g in games if g.preference_mode == "performance"]
@@ -579,7 +568,7 @@ def generate_synthetic(
             User(
                 id=f"u{i}",
                 position=pos,
-                height_m=p["user_height_m"],
+                height_m=1.5,
                 headset=hs.id,
                 game=game.id,
                 objects=objs,
@@ -599,7 +588,7 @@ def generate_synthetic(
         links=links_t,
         headsets=headsets,
         games=games,
-    ))
+    ), routes)
 
 
 # ---------------------------------------------------------------------------
@@ -875,16 +864,29 @@ def validate_scenario(sc: Scenario) -> list[str]:
     return out
 
 
-def _checked(sc: Scenario) -> Scenario:
-    """sc once it validates, with its crosshaul routes enumerated."""
+def _routes(links, bs_ids, cn_ids, k: int) -> dict[tuple[str, str], tuple[Path, ...]]:
+    """Up to k routes of every (bs, cn) pair that has one, bs by bs."""
+    out = {}
+    for b in bs_ids:
+        for c in cn_ids:
+            ps = enumerate_paths(links, b, c, k)
+            if ps:
+                out[(b, c)] = ps
+    return out
+
+
+def _checked(
+    sc: Scenario, routes: dict[tuple[str, str], tuple[Path, ...]] | None = None
+) -> Scenario:
+    """sc once it validates, with its crosshaul routes: `routes` when the
+    generator has enumerated them already, else enumerated here."""
     problems = validate_scenario(sc)
     if problems:
         raise ScenarioError(problems)
-    for b in sc.base_stations:
-        for c in sc.compute_nodes:
-            ps = enumerate_paths(sc.links, b.id, c.id, sc.radio.k_paths)
-            if ps:
-                sc.paths_by_bs_cn[(b.id, c.id)] = ps
+    if routes is None:
+        routes = _routes(sc.links, [b.id for b in sc.base_stations],
+                         [c.id for c in sc.compute_nodes], sc.radio.k_paths)
+    sc.paths_by_bs_cn.update(routes)
     return sc
 
 

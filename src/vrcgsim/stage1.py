@@ -13,19 +13,24 @@ A second phase (maximize_qoe) then walks admitted users most-dissatisfied
 first and raises resolution (quality players) or frame rate (performance
 players) one rung at a time while the PRB pool, per-cell throughput, the
 frame queue and the per-frame deadline keep holding.
+
+A solution's six-part latency columns and each cell's served users are
+derived in one place each (latency_columns, served_users); verify_stage1,
+stage 2's input table and stage 3 read them and keep their own decisions.
 """
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .radio import (
+    buffer_latency_s,
     fixed_latency_s,
+    fixed_parts,
     frame_bits,
-    latency_breakdown,
     link_tables,
     traffic_load_bps,
 )
@@ -51,7 +56,9 @@ class Stage1Solution:
     video stream each serving cell carries (equal split). _memo keeps
     what later stages derive from this solution alone (stage 2 keeps its
     input table there, stage 3 its grant layout and each user's fixed
-    latency), so it lives and dies with the timestep's solution.
+    latency), so it lives and dies with the timestep's solution. The
+    latency columns those readers start from (latency_columns) are not
+    kept: each reader derives them and keeps only what it decides.
     """
 
     assoc: dict[str, tuple[str, ...]]
@@ -78,6 +85,62 @@ def _kept(owner, sc: Scenario, key: str, build):
 def grant_pool(bs: BaseStation, radio: RadioParams) -> int:
     """Schedulable grants per window: one grant is one PRB for one TTI."""
     return bs.usable_prbs * radio.ttis_per_window
+
+
+def latency_columns(
+    sc: Scenario, solution: Stage1Solution
+) -> dict[str, dict[str, tuple[float, float, float, float, float, float]]]:
+    """The six latency parts of every (user, serving cell) pair, by user and cell.
+
+    Routing, render, propagation, transmission, frame processing and
+    queueing, at the user's selections and grants. Queueing reads the
+    frame arrivals of every admitted user at the cell; zero grants take
+    infinite transmission and a saturated queue infinite queueing. Pairs
+    are priced for the admitted users the scenario knows that have a
+    resolution and a frame rate, on the serving cells the scenario knows;
+    selections off the headset's menu are priced like any other.
+    """
+    cells, known = sc._lookup["bs"], sc._lookup["user"]
+    rated = [uid for uid in solution.admitted if uid in known and uid in solution.frame_rate]
+    arrivals = dict.fromkeys(cells, 0.0)
+    for uid in rated:
+        for bid in solution.assoc.get(uid, ()):
+            if bid in arrivals:
+                arrivals[bid] += solution.frame_rate[uid]
+    lt = link_tables(sc)
+    out: dict[str, dict[str, tuple[float, float, float, float, float, float]]] = {}
+    for uid in rated:
+        res = solution.resolution.get(uid)
+        if res is None:
+            continue
+        u, fps = known[uid], solution.frame_rate[uid]
+        bits = frame_bits(sc, res)
+        cols = out[uid] = {}
+        for bid in solution.assoc.get(uid, ()):
+            bs = cells.get(bid)
+            if bs is None:
+                continue
+            routing, render, propagation, processing = fixed_parts(sc, u, bs, res, fps)
+            grants = solution.prbs.get((uid, bid), 0)
+            tx = math.inf if grants <= 0 else bits / (grants * lt.se_of(uid, bid))
+            cols[bid] = (routing, render, propagation, tx, processing,
+                         buffer_latency_s(bs, arrivals[bid]))
+    return out
+
+
+def served_users(sc: Scenario, solution: Stage1Solution) -> dict[str, list[tuple[int, str]]]:
+    """Each cell's admitted users in catalog order, as (catalog row, user id).
+
+    Every cell of the scenario has a list; a serving cell the scenario
+    does not know is left out, and a cell listed twice serves once.
+    """
+    served: dict[str, list[tuple[int, str]]] = {b.id: [] for b in sc.base_stations}
+    for i, u in enumerate(sc.users):
+        if u.id in solution.admitted:
+            for bid in dict.fromkeys(solution.assoc[u.id]):
+                if bid in served:
+                    served[bid].append((i, u.id))
+    return served
 
 
 def is_quality(sc: Scenario, uid: str) -> bool:
@@ -467,14 +530,13 @@ def verify_stage1(solution: Stage1Solution, sc: Scenario) -> list[Violation]:
         if used > pool:
             out.append(Violation("pool", bs.id, f"{used} grants allocated, budget {pool}"))
 
-    arrivals = {b.id: 0.0 for b in sc.base_stations}
-    for uid in solution.admitted:
-        if uid not in known or uid not in solution.frame_rate:
-            continue
-        for bid in solution.assoc.get(uid, ()):
-            if bid in arrivals:
-                arrivals[bid] += solution.frame_rate[uid]
-
+    # deadlines are checked at offered resolutions only, so only those are
+    # priced; every frame rate still counts toward the queues
+    offered = {
+        uid: res for uid, res in solution.resolution.items()
+        if uid in known and res in sc.headset_of(sc.user(uid)).resolutions
+    }
+    columns = latency_columns(sc, replace(solution, resolution=offered))
     lt = link_tables(sc)
     for uid in sorted(solution.admitted):
         if uid not in known:
@@ -487,7 +549,7 @@ def verify_stage1(solution: Stage1Solution, sc: Scenario) -> list[Violation]:
             continue
         load = traffic_load_bps(sc, 1.0, res, fps)
         for bid in bids:
-            if bid not in arrivals:
+            if bid not in cells:
                 out.append(Violation("association-bounds", uid, f"unknown cell {bid}"))
                 continue
             carried = solution.share.get((uid, bid), 0.0) * load
@@ -500,24 +562,22 @@ def verify_stage1(solution: Stage1Solution, sc: Scenario) -> list[Violation]:
                         f"carries {carried:.1f} b/s over capacity {tp:.1f} b/s",
                     )
                 )
-        if any(bid not in arrivals for bid in bids):
+        if any(bid not in cells for bid in bids):
             continue
-        lb = latency_breakdown(
-            sc,
-            u,
-            tuple(bids),
-            res,
-            fps,
-            {bid: solution.prbs.get((uid, bid), 0) for bid in bids},
-            arrivals,
-        )
-        if lb.total_s > sc.radio.deadline_for(fps) + 1e-12:
+        # the slowest serving cell binds, the first of equals
+        totals = [
+            routing + render + propagation + tx + processing + queueing
+            for routing, render, propagation, tx, processing, queueing
+            in map(columns[uid].__getitem__, bids)
+        ]
+        worst = max(totals)
+        if worst > sc.radio.deadline_for(fps) + 1e-12:
             out.append(
                 Violation(
                     "deadline",
                     uid,
-                    f"latency {lb.total_s * 1e3:.3f} ms over {sc.radio.deadline_for(fps) * 1e3:.3f} ms"
-                    f" (binding cell {lb.binding_bs})",
+                    f"latency {worst * 1e3:.3f} ms over {sc.radio.deadline_for(fps) * 1e3:.3f} ms"
+                    f" (binding cell {bids[totals.index(worst)]})",
                 )
             )
     return out

@@ -7,15 +7,16 @@ over from stage 1: moving a user's engine swaps only the routing term of
 their latency columns, so a cheaper distant node is fine exactly when the
 stage-1 slack covers the extra route latency. The solvers, verify_stage2,
 total_cost and the oracle read stage 1 through one Stage2Inputs table per
-timestep, kept on the stage-1 solution (stage2_inputs).
+timestep, kept on the stage-1 solution (stage2_inputs); its latency
+columns are summed from stage1.latency_columns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .radio import latency_breakdown, traffic_load_bps
+from .radio import traffic_load_bps
 from .scenario import ComputeNode, Scenario, pixels
-from .stage1 import Stage1Solution, Violation, _kept
+from .stage1 import Stage1Solution, Violation, _kept, latency_columns
 
 _REL_TOL = 1e-9
 
@@ -104,19 +105,14 @@ def stage1_columns(
     Swapping the engine to another node changes only the routing share, so
     callers can test a candidate as column - routing + new_route.
     """
-    arrivals: dict[str, float] = {b.id: 0.0 for b in sc.base_stations}
-    for uid in stage1.admitted:
-        for bid in stage1.assoc[uid]:
-            arrivals[bid] += stage1.frame_rate[uid]
+    columns = latency_columns(sc, stage1)
     out: dict[tuple[str, str], tuple[float, float]] = {}
     for uid in stage1.admitted:
-        u = sc.user(uid)
         for bid in stage1.assoc[uid]:
-            lb = latency_breakdown(
-                sc, u, (bid,), stage1.resolution[uid], stage1.frame_rate[uid],
-                {bid: stage1.prbs[(uid, bid)]}, arrivals,
+            routing, render, propagation, tx, processing, queueing = columns[uid][bid]
+            out[(uid, bid)] = (
+                routing + render + propagation + tx + processing + queueing, routing
             )
-            out[(uid, bid)] = (lb.total_s, lb.routing_s)
     return out
 
 

@@ -14,10 +14,12 @@ mtpsched share it. It is built as arrays, one array step per user on
 each cell, and the same pass emits its grants as flat arrays.
 Round-robin and proportional-fair schedulers are provided as comparison
 points; both hand out all PRBs of every TTI and ignore grant totals and
-group coverage on purpose.
+group coverage on purpose. The layout and both baselines take each
+cell's users from stage1.served_users.
 
 mtp_latency and verify_stage3 read a schedule through flat_schedule, its
-grants as arrays, built at most once per solution; amps and mtpsched
+grants as arrays, built at most once per solution, and mtp_latency reads
+the fixed latency parts from stage1.latency_columns; amps and mtpsched
 come with the layout's flat grants already in place. verify_stage3
 decides each schedule rule once, as array passes over those grants, and
 words only what they find, as a grant-by-grant audit would.
@@ -31,9 +33,17 @@ from operator import itemgetter
 
 import numpy as np
 
-from .radio import fixed_latency_s, link_tables, traffic_load_bps
+from .radio import link_tables, traffic_load_bps
 from .scenario import Scenario, pixels
-from .stage1 import Stage1Solution, Violation, _kept, is_quality
+from .stage1 import (
+    Stage1Solution,
+    Violation,
+    _kept,
+    grant_pool,
+    is_quality,
+    latency_columns,
+    served_users,
+)
 
 ResMap = dict[tuple[str, str], tuple[int, int]]
 
@@ -160,6 +170,9 @@ def amps(sc: Scenario, stage1: Stage1Solution) -> Stage3Solution:
         def screen_px() -> float:
             return sum(o.pixel_share * pixels(rungs[level[o.id]]) for o in u.objects)
 
+        # the scene is summed afresh after each move, never patched, so
+        # it reads the same as a sum taken before every test
+        scene = screen_px()
         watched = sorted(u.objects, key=lambda o: (-o.attention, -o.pixel_share, o.id))
         moved = True
         while moved:
@@ -170,8 +183,9 @@ def amps(sc: Scenario, stage1: Stage1Solution) -> Stage3Solution:
                 step = o.pixel_share * (
                     pixels(rungs[level[o.id] + 1]) - pixels(rungs[level[o.id]])
                 )
-                if screen_px() + step <= budget:
+                if scene + step <= budget:
                     level[o.id] += 1
+                    scene = screen_px()
                     moved = True
                     continue
                 gain = o.attention * math.log(
@@ -196,10 +210,11 @@ def amps(sc: Scenario, stage1: Stage1Solution) -> Stage3Solution:
                     )
                     if gain - loss <= 1e-12:
                         continue
-                    if screen_px() + step - freed > budget:
+                    if scene + step - freed > budget:
                         continue
                     level[o.id] += 1
                     level[p.id] -= 1
+                    scene = screen_px()
                     moved = True
                     break
         for o in u.objects:
@@ -259,14 +274,7 @@ def _grant_layout(
     layouts = {len(starts): starts for starts in groups.values()}
     walks = {t: _pin_walk(ttis, starts) for t, starts in layouts.items()}
 
-    # the users each cell serves, in catalog order
-    served: dict[str, list[tuple[int, str]]] = {b.id: [] for b in sc.base_stations}
-    for i, u in enumerate(sc.users):
-        if u.id in stage1.admitted:
-            for bid in dict.fromkeys(stage1.assoc[u.id]):
-                if bid in served:
-                    served[bid].append((i, u.id))
-
+    served = served_users(sc, stage1)
     takes: list[tuple[int, np.ndarray, np.ndarray]] = []
     for c, b in enumerate(sc.base_stations):
         owed = [
@@ -276,11 +284,9 @@ def _grant_layout(
         if not owed:
             continue
         total = sum(y for _, _, y in owed)
-        if total > b.usable_prbs * ttis:
-            raise ValueError(
-                f"{total} grants exceed the {b.usable_prbs * ttis} "
-                f"schedulable on {b.id}"
-            )
+        pool = grant_pool(b, sc.radio)
+        if total > pool:
+            raise ValueError(f"{total} grants exceed the {pool} schedulable on {b.id}")
         # the slot past the window stands for a group's end: never free
         free = np.full(ttis + 1, b.usable_prbs, dtype=np.int64)
         free[ttis] = 0
@@ -440,13 +446,10 @@ def baseline_round_robin(sc: Scenario, stage1: Stage1Solution) -> Stage3Solution
     resolutions = stage1_object_resolutions(sc, stage1)
     ttis = sc.radio.ttis_per_window
     groups = _tti_groups(sc, stage1)
+    users_of = served_users(sc, stage1)
     schedule: dict[tuple[str, int], tuple[tuple[str, int], ...]] = {}
     for b in sc.base_stations:
-        users = [
-            u.id
-            for u in sc.users
-            if u.id in stage1.admitted and b.id in stage1.assoc[u.id]
-        ]
+        users = [uid for _, uid in users_of[b.id]]
         if not users:
             continue
         quantum = max(1, b.usable_prbs // 2)
@@ -478,13 +481,10 @@ def baseline_proportional_fair(
     alpha = 1.0 / 100.0
     lt = link_tables(sc)
     groups = _tti_groups(sc, stage1)
+    users_of = served_users(sc, stage1)
     schedule: dict[tuple[str, int], tuple[tuple[str, int], ...]] = {}
     for b in sc.base_stations:
-        users = [
-            u.id
-            for u in sc.users
-            if u.id in stage1.admitted and b.id in stage1.assoc[u.id]
-        ]
+        users = [uid for _, uid in users_of[b.id]]
         if not users:
             continue
         rate = {uid: lt.se_of(uid, b.id) * b.usable_prbs for uid in users}
@@ -561,9 +561,9 @@ def mtp_latency(
     grant sizing used. A frame finishes at the end of the TTI that sends
     its last bit, and whatever the window cannot drain is charged the
     full window and flagged. Fixed pipeline parts (routing, render,
-    propagation, frame processing) are priced at the stage-1 selections
-    with the worst serving cell deciding, and queueing is left out since
-    the schedule itself is the queue.
+    propagation, frame processing) are read from the stage-1 latency
+    columns, with the worst serving cell deciding, and queueing is left
+    out since the schedule itself is the queue.
 
     All users drain in lockstep, one frame index at a time; each user's
     arithmetic runs in the same order as a drain of that user alone.
@@ -605,7 +605,7 @@ def mtp_latency(
 
     # each user's frame stream and the fixed parts of its latency; those
     # read stage 1 alone, so they are priced once per stage-1 solution
-    fixed = _kept(stage1, sc, "mtp_fixed", lambda: _fixed_latencies(sc, stage1, users))
+    fixed = _kept(stage1, sc, "mtp_fixed", lambda: _worst_fixed(sc, stage1, users))
     fps_of = [stage1.frame_rate[u.id] for u in users]
     per_frame = np.array([
         objects_load(sc, stage1, solution.object_resolution, u.id) / fps
@@ -671,12 +671,14 @@ def mtp_latency(
     )
 
 
-def _fixed_latencies(sc: Scenario, stage1: Stage1Solution, users) -> np.ndarray:
+def _worst_fixed(sc: Scenario, stage1: Stage1Solution, users) -> np.ndarray:
     """Each user's fixed latency parts at its worst serving cell, read-only."""
+    columns = latency_columns(sc, stage1)
     fixed = np.array([
         max(
-            fixed_latency_s(sc, u, sc.bs(bid), stage1.resolution[u.id], stage1.frame_rate[u.id])
-            for bid in stage1.assoc[u.id]
+            routing + render + propagation + processing
+            for routing, render, propagation, _, processing, _
+            in (columns[u.id][bid] for bid in stage1.assoc[u.id])
         )
         for u in users
     ])

@@ -16,13 +16,13 @@ from scalar_radio import (
 from vrcgsim.radio import (
     buffer_latency_s,
     frame_bits,
-    latency_breakdown,
     link_tables,
     render_latency_s,
     routing_latency_s,
     traffic_load_bps,
 )
 from vrcgsim.scenario import distance, generate_synthetic
+from vrcgsim.stage1 import Stage1Solution, latency_columns, verify_stage1
 
 
 @pytest.fixture(scope="module")
@@ -181,48 +181,58 @@ def test_routing_latency_uses_best_path(sc):
     assert lat == min(p.latency_s for p in sc.paths(b.id, b.nearest_cn))
 
 
-def test_latency_breakdown_components(sc):
-    u, b = sc.users[0], sc.base_stations[0]
-    res, fps = (960, 1080), 72
-    grants = {b.id: 100}
-    arrivals = {b.id: 72.0}
-    lb = latency_breakdown(sc, u, (b.id,), res, fps, grants, arrivals)
-    bits = frame_bits(sc, res)
-    assert lb.binding_bs == b.id
-    assert lb.transmission_s == pytest.approx(bits / throughput_bps(sc, u, b, 100))
-    assert lb.processing_s == pytest.approx(bits / b.processing_capacity_bps)
-    assert lb.buffer_s == pytest.approx(1.0 / (b.frame_capacity_fps - 72.0))
-    assert lb.routing_s == routing_latency_s(sc, b)
-    assert lb.total_s == pytest.approx(
-        lb.routing_s + lb.render_s + lb.propagation_s + lb.transmission_s
-        + lb.processing_s + lb.buffer_s
+def alone(u, grants, res=(960, 1080), fps=72):
+    """A stage-1 solution admitting u alone, on the cells of `grants`."""
+    return Stage1Solution(
+        assoc={u.id: tuple(grants)},
+        prbs={(u.id, bid): g for bid, g in grants.items()},
+        resolution={u.id: res},
+        frame_rate={u.id: fps},
+        share={(u.id, bid): 1 / len(grants) for bid in grants},
+        admitted=frozenset({u.id}),
     )
 
 
+def test_latency_breakdown_components(sc):
+    u, b = sc.users[0], sc.base_stations[0]
+    res, fps = (960, 1080), 72
+    cols = latency_columns(sc, alone(u, {b.id: 100}, res, fps))
+    routing, render, propagation, tx, processing, queueing = cols[u.id][b.id]
+    bits = frame_bits(sc, res)
+    assert tx == pytest.approx(bits / throughput_bps(sc, u, b, 100))
+    assert processing == pytest.approx(bits / b.processing_capacity_bps)
+    # the user's own 72 frames/s are the cell's only arrivals
+    assert queueing == pytest.approx(1.0 / (b.frame_capacity_fps - 72.0))
+    assert routing == routing_latency_s(sc, b)
+    assert render == render_latency_s(sc, res, fps, b.nearest_cn)
+
+
 def test_latency_breakdown_takes_worst_bs(sc):
+    """The deadline check reads the slower of two serving cells."""
     u = sc.users[0]
+    hs = sc.headset_of(u)
     ids = tuple(b.id for b in sc.base_stations[:2])
-    grants = {ids[0]: 100, ids[1]: 1}
-    arrivals = {ids[0]: 72.0, ids[1]: 72.0}
-    lb = latency_breakdown(sc, u, ids, (960, 1080), 72, grants, arrivals)
-    singles = [
-        latency_breakdown(sc, u, (bid,), (960, 1080), 72, grants, arrivals) for bid in ids
-    ]
-    assert lb.total_s == pytest.approx(max(s.total_s for s in singles))
+    sol = alone(u, {ids[0]: 100, ids[1]: 1}, hs.resolutions[0], hs.frame_rates[0])
+    totals = [sum(parts) for parts in latency_columns(sc, sol)[u.id].values()]
+    assert totals[1] > totals[0]
+    (late,) = [v for v in verify_stage1(sol, sc) if v.kind == "deadline"]
+    assert late.detail.startswith(f"latency {totals[1] * 1e3:.3f} ms")
+    assert late.detail.endswith(f"(binding cell {ids[1]})")
 
 
 def test_latency_breakdown_zero_grants_is_infinite(sc):
     u, b = sc.users[0], sc.base_stations[0]
-    lb = latency_breakdown(sc, u, (b.id,), (960, 1080), 72, {}, {b.id: 72.0})
-    assert lb.transmission_s == math.inf
+    parts = latency_columns(sc, alone(u, {b.id: 0}))[u.id][b.id]
+    assert parts[3] == math.inf
+    # arrivals at the frame capacity leave the queue no slack
+    full = alone(u, {b.id: 50}, fps=int(b.frame_capacity_fps))
+    assert latency_columns(sc, full)[u.id][b.id][5] == math.inf
 
 
 def test_propagation_is_distance_over_c(sc):
     u, b = sc.users[0], sc.base_stations[0]
-    lb = latency_breakdown(sc, u, (b.id,), (960, 1080), 72, {b.id: 50}, {b.id: 72.0})
-    from vrcgsim.scenario import distance
-
-    assert lb.propagation_s == pytest.approx(
+    parts = latency_columns(sc, alone(u, {b.id: 50}))[u.id][b.id]
+    assert parts[2] == pytest.approx(
         distance(u.position, b.position) / sc.radio.speed_of_light_mps
     )
     # 300 m of range is one microsecond

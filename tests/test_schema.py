@@ -76,7 +76,9 @@ def test_probe_config_exits_2_naming_object_and_field(case, probe_config, tmp_pa
     assert expected in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("overrides", [{"frame_capacity_fps": 0}, {"bits_per_pixel": math.nan}])
+@pytest.mark.parametrize("overrides", [
+    {"frame_capacity_fps": 0}, {"bits_per_pixel": math.nan}, {"k_paths": 0},
+])
 def test_bad_overrides_raise_scenario_error(overrides):
     with pytest.raises(ScenarioError) as err:
         generate_synthetic(seed=0, n_users=5, n_bs=2, n_cns=3, overrides=overrides)

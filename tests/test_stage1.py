@@ -1,5 +1,6 @@
 """Association, PRB budgeting, QoE upgrades and the stage-1 verifier."""
 import math
+from dataclasses import replace
 
 import pytest
 from helpers import make_scenario
@@ -20,6 +21,7 @@ from vrcgsim.stage1 import (
     verify_stage1,
     vexa,
 )
+from vrcgsim.stage3 import mtp_latency, mtpsched
 
 
 def near_far_scenario(seed=1, usable0=2, usable1=1):
@@ -285,3 +287,48 @@ def test_verifier_flags_a_serving_cell_that_does_not_cover_the_user():
                          share={("u0", "bs0"): 1.0}, admitted=frozenset({"u0"}))
     violations = verify_stage1(far, sc)
     assert [(v.kind, v.subject) for v in violations] == [("coverage", "u0/bs0")]
+
+
+def test_verifier_prices_hand_made_columns():
+    """Off-menu, zero-grant and unknown-cell users beside a user whose two
+    serving cells tie: each is worded as before, and the first tied cell binds.
+    A resolution that is no pair of numbers is only off the menu."""
+    sc = make_scenario(
+        users=[{"id": f"u{i}", "position": [1300.0, 1000.0]} for i in range(5)],
+        base_stations=[
+            {"id": "bs0", "position": [1000.0, 1000.0]},
+            {"id": "bs1", "position": [1600.0, 1000.0]},
+        ],
+    )
+    low, fps = (960, 1080), 72
+    sol = Stage1Solution(
+        assoc={"u0": ("bs0", "bs1"), "u1": ("bs0",), "u2": ("bs1",), "u3": ("bs9",),
+               "u4": ("bs0", "bs1")},
+        prbs={("u0", "bs0"): 1, ("u0", "bs1"): 1, ("u1", "bs0"): 1,
+              ("u2", "bs1"): 0, ("u3", "bs9"): 5, ("u4", "bs0"): 1,
+              ("u4", "bs1"): 1},
+        resolution={"u0": low, "u1": (1000, 1000), "u2": low, "u3": low, "u4": ("wide", "tall")},
+        frame_rate=dict.fromkeys(["u0", "u1", "u2", "u3", "u4"], fps),
+        share={("u0", "bs0"): 0.5, ("u0", "bs1"): 0.5, ("u1", "bs0"): 1.0,
+               ("u2", "bs1"): 1.0, ("u3", "bs9"): 1.0, ("u4", "bs0"): 0.5,
+               ("u4", "bs1"): 0.5},
+        admitted=frozenset({"u0", "u1", "u2", "u3", "u4"}),
+    )
+    found = verify_stage1(sol, sc)
+    assert [(v.kind, v.subject) for v in found if v.kind != "throughput"] == [
+        ("selection", "u1"),
+        ("selection", "u4"),
+        ("exclusivity", "u2/bs1"),
+        ("exclusivity", "u2/bs1"),
+        ("deadline", "u0"),
+        ("deadline", "u2"),
+        ("association-bounds", "u3"),
+    ]
+    words = {v.subject: v.detail for v in found if v.kind in ("deadline", "association-bounds")}
+    assert words["u0"].endswith("(binding cell bs0)")
+    assert words["u2"].startswith("latency inf ms") and words["u2"].endswith("(binding cell bs1)")
+    assert words["u3"] == "unknown cell bs9"
+    # the latency metric prices the same columns and stops at the unknown cell
+    priced = replace(sol, resolution={**sol.resolution, "u4": low})
+    with pytest.raises(KeyError, match="bs9"):
+        mtp_latency(mtpsched(sc, priced), sc, priced)

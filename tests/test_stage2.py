@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from helpers import BIG, make_scenario, tiny_scenario
 from vrcgsim import metrics, stage2
-from vrcgsim.radio import latency_breakdown
+from vrcgsim.radio import buffer_latency_s
 from vrcgsim.scenario import ScenarioError, generate_synthetic
-from vrcgsim.stage1 import vexa
+from vrcgsim.stage1 import latency_columns, vexa
 from vrcgsim.stage2 import (
     Stage2Solution,
     baseline_single_path,
@@ -248,17 +248,17 @@ def test_columns_match_reference_latency():
                             overrides={"max_connections": 1})
     s1 = vexa(sc)
     cols = stage1_columns(sc, s1)
+    parts = latency_columns(sc, s1)
     arrivals = {b.id: 0.0 for b in sc.base_stations}
     for uid in s1.admitted:
         for bid in s1.assoc[uid]:
             arrivals[bid] += s1.frame_rate[uid]
     for uid in s1.admitted:
         (bid,) = s1.assoc[uid]
-        ref = latency_breakdown(
-            sc, sc.user(uid), (bid,), s1.resolution[uid], s1.frame_rate[uid],
-            {bid: s1.prbs[(uid, bid)]}, arrivals,
-        )
-        assert cols[(uid, bid)][0] == pytest.approx(ref.total_s, rel=1e-12)
+        ref = parts[uid][bid]
+        assert ref[5] == buffer_latency_s(sc.bs(bid), arrivals[bid])
+        assert cols[(uid, bid)][0] == pytest.approx(sum(ref), rel=1e-12)
+        assert cols[(uid, bid)][1] == ref[0]
 
 
 def test_gepar_never_costs_more_than_single_path():

@@ -232,14 +232,15 @@ def test_seeded_flat_grants_equal_a_rebuild():
 
 
 def test_fixed_latency_is_priced_once_per_timestep(monkeypatch):
+    """mtp_latency derives one stage-1 solution's columns once."""
     calls = []
-    price = stage3.fixed_latency_s
-    monkeypatch.setattr(stage3, "fixed_latency_s", lambda *a: calls.append(a) or price(*a))
+    derive = stage3.latency_columns
+    monkeypatch.setattr(stage3, "latency_columns", lambda *a: calls.append(a) or derive(*a))
     sc = generate_synthetic(seed=4, n_users=60, n_bs=3, n_cns=4)
     s1 = vexa(sc)
     first = mtp_latency(amps(sc, s1), sc, s1)
     again = mtp_latency(mtpsched(sc, s1), sc, s1)
-    assert len(calls) == sum(len(cells) for cells in s1.assoc.values())
+    assert calls == [(sc, s1)]
     assert first.average_s.keys() == again.average_s.keys()
 
 
