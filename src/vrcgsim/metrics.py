@@ -14,7 +14,7 @@ import math
 import statistics
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import oracle as oracle_mod
 from .scenario import Scenario, step_positions
@@ -303,21 +303,7 @@ def run_experiment(
 # ---------------------------------------------------------------------------
 # Emission
 
-CSV_COLUMNS = (
-    "timestep",
-    "method",
-    "total_qoe",
-    "avg_qoe",
-    "jain_index",
-    "fixed_cost",
-    "variable_cost",
-    "migration_cost",
-    "total_cost",
-    "avg_mtp_s",
-    "prb_usage_fraction",
-    "solve_time_s",
-    "unadmitted_count",
-)
+CSV_COLUMNS = ("timestep", "method", *(f.name for f in fields(MethodMetrics)))
 
 
 def _fmt(value, timing: bool, column: str) -> str:
@@ -428,12 +414,20 @@ def _int32(value, name: str, what: str) -> int:
     return v
 
 
+def _resolution(value, name: str, uid: str) -> tuple[int, int]:
+    if not (isinstance(value, list) and len(value) == 2
+            and all(type(v) is int for v in value)):
+        raise ValueError(
+            f"solution {name!r}: resolution {value!r} of user {uid} is not two integers")
+    return tuple(value)
+
+
 def doc_to_solutions(doc: dict) -> dict:
     """Rebuild solver outputs from a solutions document.
 
     TTIs, grant counts, group starts and stage-1 grants must fit a signed
-    32-bit integer; a ValueError names the solution and the field of any
-    that does not.
+    32-bit integer, and a stage-1 resolution must be two integers; a
+    ValueError names the solution and the field of any that does not.
     """
     out: dict = {}
     for name, entry in doc["solutions"].items():
@@ -444,7 +438,7 @@ def doc_to_solutions(doc: dict) -> dict:
                 assoc=assoc,
                 prbs={(u, b): _int32(y, name, "prbs") for u, b, y in entry["prbs"]},
                 resolution={
-                    u: tuple(r) for u, r in entry["resolution"].items()
+                    u: _resolution(r, name, u) for u, r in entry["resolution"].items()
                 },
                 frame_rate={u: int(f) for u, f in entry["frame_rate"].items()},
                 share={(u, b): float(s) for u, b, s in entry["share"]},

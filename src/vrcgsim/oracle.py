@@ -16,7 +16,14 @@ from dataclasses import dataclass
 from .radio import fixed_latency_s, frame_bits, link_tables, traffic_load_bps
 from .scenario import Scenario, distance, pixels
 from .stage1 import Stage1Solution, grant_pool, verify_stage1
-from .stage2 import Stage2Solution, stage2_inputs, variable_cost, verify_stage2
+from .stage2 import (
+    DemandProfile,
+    Stage2Solution,
+    stage1_columns,
+    stage2_inputs,
+    variable_cost,
+    verify_stage2,
+)
 from .stage3 import ResMap
 
 
@@ -213,8 +220,8 @@ def exact_stage2(
         return empty, 0.0
     _check_dimensions(sc, bounds, estimate)
 
-    inputs = stage2_inputs(sc, stage1)
-    columns, demands = inputs.columns, inputs.demand
+    columns = stage1_columns(sc, stage1)
+    demands = stage2_inputs(sc, stage1).demand
     eps = sc.radio.epsilon
     cn_ids = [c.id for c in sc.compute_nodes]
 
@@ -226,14 +233,12 @@ def exact_stage2(
         return out
 
     def fits_compute(cids: tuple[str, ...]) -> bool:
-        used = {cid: [0.0, 0.0, 0.0, 0.0] for cid in cn_ids}
+        used = {cid: [0.0] * len(DemandProfile._fields) for cid in cn_ids}
         for uid, cid in zip(users, cids):
-            d = demands[uid]
-            for i, n in enumerate((d.gpu, d.cpu, d.ram, d.net)):
+            for i, n in enumerate(demands[uid]):
                 used[cid][i] += n
         for c in sc.compute_nodes:
-            caps = (c.gpu_cap, c.cpu_cap, c.ram_cap, c.net_cap)
-            if any(u > cap * (1 + 1e-9) for u, cap in zip(used[c.id], caps)):
+            if any(u > cap * (1 + 1e-9) for u, cap in zip(used[c.id], c.caps)):
                 return False
         return True
 

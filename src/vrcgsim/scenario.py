@@ -169,6 +169,11 @@ class ComputeNode:
     fixed_cost: float = field(metadata=_NON_NEGATIVE)
     unit_costs: ResourceCosts
 
+    @property
+    def caps(self) -> tuple[float, float, float, float]:
+        """gpu, cpu, ram and net capacity, in stage 2's demand order."""
+        return (self.gpu_cap, self.cpu_cap, self.ram_cap, self.net_cap)
+
 
 @dataclass(frozen=True)
 class Link:

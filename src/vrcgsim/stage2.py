@@ -7,12 +7,15 @@ over from stage 1: moving a user's engine swaps only the routing term of
 their latency columns, so a cheaper distant node is fine exactly when the
 stage-1 slack covers the extra route latency. The solvers, verify_stage2,
 total_cost and the oracle read stage 1 through one Stage2Inputs table per
-timestep, kept on the stage-1 solution (stage2_inputs); its latency
-columns are summed from stage1.latency_columns.
+timestep, kept on the stage-1 solution (stage2_inputs): each user's
+DemandProfile, the resource vector that zips with ComputeNode.caps, and
+each latency column less its routing share, to which a candidate adds its
+own route latency. The columns are summed from stage1.latency_columns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .radio import traffic_load_bps
 from .scenario import ComputeNode, Scenario, pixels
@@ -21,11 +24,12 @@ from .stage1 import Stage1Solution, Violation, _kept, latency_columns
 _REL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class DemandProfile:
-    """Resource units one user's engine occupies at its compute node."""
+class DemandProfile(NamedTuple):
+    """Resource units one user's engine occupies at its compute node.
 
-    user: str
+    The vector is in the order of ComputeNode.caps, so the two zip.
+    """
+
     gpu: float  # rendered pixels/s
     cpu: float  # frames/s
     ram: float  # resident pixels
@@ -37,7 +41,6 @@ def demand_profile(sc: Scenario, stage1: Stage1Solution, uid: str) -> DemandProf
     fps = stage1.frame_rate[uid]
     px = pixels(res)
     return DemandProfile(
-        user=uid,
         gpu=float(px * fps),
         cpu=float(fps),
         ram=float(px),
@@ -118,16 +121,21 @@ def stage1_columns(
 
 @dataclass(frozen=True)
 class Stage2Inputs:
-    """What stage 2 reads of one stage-1 solution."""
+    """What stage 2 reads of one stage-1 solution.
 
-    columns: dict[tuple[str, str], tuple[float, float]]  # stage1_columns
+    unrouted holds each stage1_columns latency less its routing share, the
+    part no placement changes: a candidate route is tested by adding its
+    latency.
+    """
+
+    unrouted: dict[tuple[str, str], float]  # (user, serving cell)
     demand: dict[str, DemandProfile]  # per admitted user
 
 
 def stage2_inputs(sc: Scenario, stage1: Stage1Solution) -> Stage2Inputs:
     """The timestep's table, built on first use and kept on stage1."""
     return _kept(stage1, sc, "stage2_inputs", lambda: Stage2Inputs(
-        stage1_columns(sc, stage1),
+        {key: col - route for key, (col, route) in stage1_columns(sc, stage1).items()},
         {uid: demand_profile(sc, stage1, uid) for uid in stage1.admitted},
     ))
 
@@ -140,18 +148,16 @@ class _Ledger:
     """Residual compute and link capacity during one solve."""
 
     def __init__(self, sc: Scenario):
-        self.cn_used = {c.id: [0.0, 0.0, 0.0, 0.0] for c in sc.compute_nodes}
+        self.cn_used = {c.id: [0.0] * len(DemandProfile._fields) for c in sc.compute_nodes}
         self.link_used = {ln.id: 0.0 for ln in sc.links}
 
     def fits(self, cn: ComputeNode, d: DemandProfile) -> bool:
         used = self.cn_used[cn.id]
-        caps = (cn.gpu_cap, cn.cpu_cap, cn.ram_cap, cn.net_cap)
-        need = (d.gpu, d.cpu, d.ram, d.net)
-        return all(u + n <= cap * (1 + _REL_TOL) for u, n, cap in zip(used, need, caps))
+        return all(u + n <= cap * (1 + _REL_TOL) for u, n, cap in zip(used, d, cn.caps))
 
     def occupy(self, cn_id: str, d: DemandProfile):
         used = self.cn_used[cn_id]
-        for i, n in enumerate((d.gpu, d.cpu, d.ram, d.net)):
+        for i, n in enumerate(d):
             used[i] += n
 
 
@@ -216,10 +222,9 @@ def _route_user(
         taken = _split_flow(shadow_used, paths, load, eps)
         if taken is None:
             return None
-        col, route = inputs.columns[(uid, bid)]
         worst = max(p.latency_s for p, _ in taken)
         fps = stage1.frame_rate[uid]
-        if col - route + worst > sc.radio.deadline_for(fps) + 1e-12:
+        if inputs.unrouted[(uid, bid)] + worst > sc.radio.deadline_for(fps) + 1e-12:
             return None
         for path, frac in taken:
             plan[path.id] = plan.get(path.id, 0.0) + frac
@@ -271,8 +276,7 @@ def gepar(
             worst_best = 0.0
             for bid in stage1.assoc[uid]:
                 paths = sc.paths(bid, c.id)[:k]
-                col, route = inputs.columns[(uid, bid)]
-                if not paths or col - route + paths[0].latency_s > deadline:
+                if not paths or inputs.unrouted[(uid, bid)] + paths[0].latency_s > deadline:
                     break
                 worst_best = max(worst_best, paths[0].latency_s)
             else:
@@ -383,22 +387,19 @@ def baseline_unconstrained(
         deadline = sc.radio.deadline_for(fps)
         best: tuple[float, str] | None = None
         for c in sc.compute_nodes:
-            paths = {bid: sc.paths(bid, c.id) for bid in serving}
-            if any(not ps for ps in paths.values()):
+            # c's fastest route to each serving cell
+            firsts = [ps[0] for bid in serving if (ps := sc.paths(bid, c.id))]
+            if len(firsts) < len(serving):
                 continue
             money = variable_cost(c, d)
             if c.id not in active:
                 money += c.fixed_cost
             overflow = 0.0
-            used = ledger.cn_used[c.id]
-            caps = (c.gpu_cap, c.cpu_cap, c.ram_cap, c.net_cap)
-            need = (d.gpu, d.cpu, d.ram, d.net)
-            for u_r, n_r, cap in zip(used, need, caps):
+            for u_r, n_r, cap in zip(ledger.cn_used[c.id], d, c.caps):
                 if cap > 0:
                     overflow += max(0.0, (u_r + n_r - cap) / cap)
             excess = 0.0
-            for bid in serving:
-                first = paths[bid][0]
+            for bid, first in zip(serving, firsts):
                 load = stage1.share[(uid, bid)] * d.net
                 for ln in first.links:
                     room = ln.capacity_bps
@@ -406,8 +407,8 @@ def baseline_unconstrained(
                         overflow += max(
                             0.0, (ledger.link_used[ln.id] + load - room) / room
                         )
-                col, route = inputs.columns[(uid, bid)]
-                excess += max(0.0, (col - route + first.latency_s - deadline) / deadline)
+                late = inputs.unrouted[(uid, bid)] + first.latency_s - deadline
+                excess += max(0.0, late / deadline)
             score = money + w_cap * overflow + w_lat * excess
             if best is None or (score, c.id) < best:
                 best = (score, c.id)
@@ -463,17 +464,14 @@ def verify_stage2(
             out.append(Violation("placement", uid, "admitted user neither placed nor reported"))
 
     # compute capacity
-    totals = {c.id: [0.0, 0.0, 0.0, 0.0] for c in sc.compute_nodes}
+    totals = {c.id: [0.0] * len(DemandProfile._fields) for c in sc.compute_nodes}
     for uid, cid in solution.placement.items():
         if cid not in cn_ids or uid not in stage1.admitted:
             continue
-        d = inputs.demand[uid]
-        for i, n in enumerate((d.gpu, d.cpu, d.ram, d.net)):
+        for i, n in enumerate(inputs.demand[uid]):
             totals[cid][i] += n
     for c in sc.compute_nodes:
-        caps = (c.gpu_cap, c.cpu_cap, c.ram_cap, c.net_cap)
-        names = ("gpu", "cpu", "ram", "net")
-        for got, cap, name in zip(totals[c.id], caps, names):
+        for got, cap, name in zip(totals[c.id], c.caps, DemandProfile._fields):
             if got > cap * (1 + _REL_TOL):
                 out.append(Violation("capacity", c.id, f"{name} load {got:.6g} over cap {cap:.6g}"))
 
@@ -512,8 +510,7 @@ def verify_stage2(
                 for ln in paths[pid].links:
                     link_load[ln.id] += frac * load
             worst = max(paths[pid].latency_s for pid in mine)
-            col, route = inputs.columns[(uid, bid)]
-            if col - route + worst > deadline:
+            if inputs.unrouted[(uid, bid)] + worst > deadline:
                 out.append(
                     Violation("deadline", uid, f"stage-2 latency via {bid} exceeds budget")
                 )

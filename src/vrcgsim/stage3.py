@@ -10,8 +10,8 @@ mtpsched then turns each user's grant total into a concrete TTI
 schedule, spacing the grants so a freshly generated frame never waits
 long for a transmission opportunity. The layout reads only stage 1, so
 it is built once per stage-1 solution (one per timestep) and amps and
-mtpsched share it. It is built as arrays, one array step per user on
-each cell, and the same pass emits its grants as flat arrays.
+mtpsched share it. It is built as arrays, each user's pins on a cell in
+one array step, and the same pass emits its grants as flat arrays.
 Round-robin and proportional-fair schedulers are provided as comparison
 points; both hand out all PRBs of every TTI and ignore grant totals and
 group coverage on purpose. The layout and both baselines take each
@@ -40,7 +40,6 @@ from .stage1 import (
     Violation,
     _kept,
     grant_pool,
-    is_quality,
     latency_columns,
     served_users,
 )
@@ -148,21 +147,22 @@ def total_qoe_stage3(
 def amps(sc: Scenario, stage1: Stage1Solution) -> Stage3Solution:
     """Upgrade closely watched objects, paying with background ones.
 
-    Users are visited from the most capable headset down. For each user,
-    objects are tried in attention order: an object moves up one rung
-    whenever the scene still fits the stage-1 traffic budget; otherwise a
-    lower-attention object with the largest on-screen pixel area drops a
-    rung to free room, and the swap is kept only when the attention
-    weights make it a net gain. Passes repeat until nothing moves.
+    Each admitted user is held to their own stage-1 budget and refined
+    alone, in catalog order. Objects are tried in attention order: an
+    object moves up one rung whenever the scene still fits the stage-1
+    traffic budget; otherwise a lower-attention object with the largest
+    on-screen pixel area drops a rung to free room, and the swap is kept
+    only when the attention weights make it a net gain. Passes repeat
+    until nothing moves.
 
     The grants are mtpsched's layout, which the stage-1 solution keeps:
     an mtpsched of the same timestep reuses it rather than building it
     again.
     """
     resolutions = stage1_object_resolutions(sc, stage1)
-    users = [u for u in sc.users if u.id in stage1.admitted]
-    users.sort(key=lambda u: (-pixels(sc.headset_of(u).resolutions[-1]), u.id))
-    for u in users:
+    for u in sc.users:
+        if u.id not in stage1.admitted:
+            continue
         rungs = sc.headset_of(u).resolutions
         budget = pixels(stage1.resolution[u.id]) * (1 + 1e-9)
         level = {o.id: rungs.index(stage1.resolution[u.id]) for o in u.objects}
@@ -242,7 +242,7 @@ def mtpsched(
     The layout depends on stage 1 alone, not on the resolutions, so it is
     built once per stage-1 solution and kept on it: amps and a following
     mtpsched of the same timestep share one layout. It is built as
-    arrays, each user's grants on a cell placed in one array step, and
+    arrays, each user's pins on a cell placed in one array step, and
     its flat grants (what flat_schedule returns) come with it, shared
     read-only by every solution of the timestep.
     """
@@ -266,8 +266,7 @@ def _grant_layout(
 
     Every take gets the free TTI nearest its target, ties to the earlier.
     One user's pins lie in its own disjoint groups, so they are placed in
-    one array step. Its extra grants are too, unless two of them would
-    overfill a TTI; then they are taken one at a time.
+    one array step; its extra grants are taken one at a time.
     """
     ttis = sc.radio.ttis_per_window
     groups = _tti_groups(sc, stage1)
@@ -325,19 +324,12 @@ def _grant_layout(
             if extra <= 0:
                 continue
             targets = np.minimum(np.arange(1, extra + 1) * ttis // (extra + 1), ttis - 1)
-            got = _nearest_free(avail, targets, b.id)
-            tti, n = np.unique(got, return_counts=True)
-            if (n > free[tti]).any():
-                # the extras compete for a TTI: take them one at a time
-                for k in range(extra):
-                    got[k] = tti = _nearest_free(avail, targets[k:k + 1], b.id)[0]
-                    free[tti] -= 1
-                    if not free[tti]:
-                        avail = avail[avail != tti]
-            else:
-                free[tti] -= n
-                if not free[tti].all():
-                    avail = avail[free[avail] > 0]
+            got = np.empty(extra, dtype=np.int64)
+            for k in range(extra):
+                got[k] = tti = _nearest_free(avail, targets[k:k + 1], b.id)[0]
+                free[tti] -= 1
+                if not free[tti]:
+                    avail = avail[avail != tti]
             picks.append(got)
             who.append(i)
             sizes.append(extra)

@@ -7,7 +7,6 @@ crossover between cyclic and spread scheduling, grant savings, migration
 cost under mobility, and byte-stable CLI output. Each test prints a
 single PASS or FAIL line with the measured numbers.
 """
-import json
 import statistics
 import time
 

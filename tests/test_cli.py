@@ -103,6 +103,23 @@ def test_verify_rejects_integers_past_32_bits(tmp_path, capsys, column, value, w
     assert "malformed solution document" in err and words in err
 
 
+@pytest.mark.parametrize("resolution", [[960], [960, 1080, 5], ["960", "1080"]])
+def test_verify_rejects_a_resolution_that_is_not_two_integers(tmp_path, capsys, resolution):
+    sc_path = tmp_path / "sc.json"
+    sols = tmp_path / "sols.json"
+    main(["generate", *RUN, "--out", str(sc_path)])
+    main(["run", str(sc_path), "--methods", "vexa,amps,mtpsched",
+          "--out", str(tmp_path / "r.csv"), "--solutions", str(sols)])
+    doc = json.loads(sols.read_text())
+    uid = min(doc["solutions"]["vexa"]["resolution"])
+    doc["solutions"]["vexa"]["resolution"][uid] = resolution
+    sols.write_text(json.dumps(doc))
+    assert main(["verify", str(sc_path), str(sols)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed solution document" in err
+    assert f"'vexa': resolution {resolution!r} of user {uid} is not two integers" in err
+
+
 def test_compare_reports_gaps(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.json"
     assert main(["run", *RUN, "--methods", "vexa,sa", "--out", str(a)]) == 0

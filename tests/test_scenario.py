@@ -1,6 +1,5 @@
 """Scenario construction, validation, config round-trip and mobility."""
 import itertools
-import math
 import time
 
 import pytest

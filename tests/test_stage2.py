@@ -1,11 +1,10 @@
-import math
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import BIG, make_scenario, tiny_scenario
+from helpers import make_scenario, tiny_scenario
 from vrcgsim import metrics, stage2
 from vrcgsim.radio import buffer_latency_s
 from vrcgsim.scenario import ScenarioError, generate_synthetic
