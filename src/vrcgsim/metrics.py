@@ -14,7 +14,7 @@ import math
 import statistics
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 from . import oracle as oracle_mod
 from .scenario import Scenario, step_positions
@@ -306,9 +306,7 @@ def run_experiment(
 CSV_COLUMNS = ("timestep", "method", *(f.name for f in fields(MethodMetrics)))
 
 
-def _fmt(value, timing: bool, column: str) -> str:
-    if column == "solve_time_s":
-        value = value if timing else 0.0
+def _fmt(value, column: str) -> str:
     if value is None:
         return ""
     if isinstance(value, int):
@@ -326,37 +324,23 @@ def emit(reports, fmt: str = "csv", include_timing: bool = False) -> str:
     Solve times are written as zero unless include_timing is set, keeping
     repeated runs byte-identical.
     """
-    if fmt == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        for report in reports:
-            for method, row in report.methods.items():
-                cells = [str(report.timestep), method]
-                for col in CSV_COLUMNS[2:]:
-                    cells.append(_fmt(getattr(row, col), include_timing, col))
-                lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format {fmt!r}; use csv or json")
+    table = [
+        (report.timestep, {
+            method: asdict(row if include_timing else replace(row, solve_time_s=0.0))
+            for method, row in report.methods.items()
+        })
+        for report in reports
+    ]
     if fmt == "json":
-        doc = {
-            "reports": [
-                {
-                    "timestep": report.timestep,
-                    "methods": {
-                        method: {
-                            col: (
-                                (row.solve_time_s if include_timing else 0.0)
-                                if col == "solve_time_s"
-                                else getattr(row, col)
-                            )
-                            for col in CSV_COLUMNS[2:]
-                        }
-                        for method, row in report.methods.items()
-                    },
-                }
-                for report in reports
-            ]
-        }
+        doc = {"reports": [{"timestep": t, "methods": rows} for t, rows in table]}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    raise ValueError(f"unknown format {fmt!r}; use csv or json")
+    lines = [",".join(CSV_COLUMNS)]
+    for t, rows in table:
+        for method, row in rows.items():
+            lines.append(",".join([str(t), method, *(_fmt(v, c) for c, v in row.items())]))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

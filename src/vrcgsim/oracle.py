@@ -1,17 +1,19 @@
-"""Bounded exhaustive solvers used as ground truth on tiny instances.
+"""Exhaustive solvers used as ground truth.
 
 Each exact_* function enumerates the full decision space of one stage,
-keeps the feasible candidates and returns the best, refusing instances
-whose enumeration would exceed the configured budget. They are written
-for correctness, not speed: plain nested enumeration with feasibility
-pruning and deterministic tie-breaking by the lexicographically smallest
-solution encoding.
+keeps the feasible candidates and returns the best. Before enumerating,
+each counts the candidates it will evaluate, in Python integers, and
+refuses with OracleRefusal when the count is above BUDGET; there is no
+other size limit. Stage 3 decomposes by user, so its count is a sum and
+`exact_stage3` runs at paper scale. They are written for correctness,
+not speed: plain nested enumeration with feasibility pruning and
+deterministic tie-breaking by the lexicographically smallest solution
+encoding.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .radio import fixed_latency_s, frame_bits, link_tables, traffic_load_bps
 from .scenario import Scenario, distance, pixels
@@ -26,51 +28,31 @@ from .stage2 import (
 )
 from .stage3 import ResMap
 
-
-@dataclass(frozen=True)
-class OracleBounds:
-    max_users: int = 4
-    max_bs: int = 3
-    max_cns: int = 3
-    max_resolutions: int = 3
-    max_frame_rates: int = 2
-    max_objects: int = 2
-    max_ttis: int = 64
-    budget: float = 1e7  # candidate evaluations
+BUDGET = 10**7  # candidate evaluations per oracle call
 
 
 class OracleRefusal(ValueError):
-    """Instance outside the oracle's bounds; carries the size estimate."""
+    """Enumeration over BUDGET; carries the candidate count as a float."""
 
     def __init__(self, reason: str, estimate: float):
         self.estimate = estimate
         super().__init__(f"{reason} (estimated {estimate:.3g} candidate evaluations)")
 
 
-def _check_dimensions(sc: Scenario, bounds: OracleBounds, estimate: float):
-    checks = [
-        (len(sc.users), bounds.max_users, "users"),
-        (len(sc.base_stations), bounds.max_bs, "base stations"),
-        (len(sc.compute_nodes), bounds.max_cns, "compute nodes"),
-        (max(len(h.resolutions) for h in sc.headsets), bounds.max_resolutions, "resolutions"),
-        (max(len(h.frame_rates) for h in sc.headsets), bounds.max_frame_rates, "frame rates"),
-        (max((len(u.objects) for u in sc.users), default=0), bounds.max_objects, "objects"),
-        (sc.radio.ttis_per_window, bounds.max_ttis, "TTIs per window"),
-    ]
-    for value, cap, what in checks:
-        if value > cap:
-            raise OracleRefusal(f"instance has {value} {what}, bound is {cap}", estimate)
-    if estimate > bounds.budget:
-        raise OracleRefusal("enumeration over budget", estimate)
+def _within_budget(count: int) -> None:
+    if count > BUDGET:
+        try:
+            estimate = float(count)
+        except OverflowError:  # past the float range
+            estimate = math.inf
+        raise OracleRefusal(f"enumeration over budget {BUDGET:.0e}", estimate)
 
 
 # ---------------------------------------------------------------------------
 # Stage 1: association, grants and quality selections
 
 
-def exact_stage1(
-    sc: Scenario, bounds: OracleBounds = OracleBounds()
-) -> tuple[Stage1Solution, float]:
+def exact_stage1(sc: Scenario) -> tuple[Stage1Solution, float]:
     """Maximum total QoE over association subsets and quality selections.
 
     Grants take their minimal feasible value per user and cell (the QoE
@@ -104,10 +86,7 @@ def exact_stage1(
         opts.append(None)
         options.append(opts)
 
-    estimate = 1.0
-    for opts in options:
-        estimate *= len(opts)
-    _check_dimensions(sc, bounds, estimate)
+    _within_budget(math.prod(len(opts) for opts in options))
 
     pool = {b.id: grant_pool(b, sc.radio) for b in sc.base_stations}
 
@@ -197,9 +176,7 @@ def exact_stage1(
 # Stage 2: placement, path selection and flows
 
 
-def exact_stage2(
-    sc: Scenario, stage1: Stage1Solution, bounds: OracleBounds = OracleBounds()
-) -> tuple[Stage2Solution, float]:
+def exact_stage2(sc: Scenario, stage1: Stage1Solution) -> tuple[Stage2Solution, float]:
     """Minimum-cost placement with routed flows for every admitted user.
 
     Placements and per-cell path subsets are enumerated outright. Flows
@@ -213,12 +190,11 @@ def exact_stage2(
     """
     users = [u.id for u in sc.users if u.id in stage1.admitted]
     pairs = [(uid, bid) for uid in users for bid in stage1.assoc[uid]]
-    subsets_bound = float(2 ** sc.radio.k_paths - 1) ** len(pairs)
-    estimate = float(len(sc.compute_nodes)) ** len(users) * max(subsets_bound, 1.0)
     if not users:
         empty = Stage2Solution({}, {}, {}, frozenset(), frozenset())
         return empty, 0.0
-    _check_dimensions(sc, bounds, estimate)
+    subsets = 2**sc.radio.k_paths - 1  # nonempty subsets of one cell's routes
+    _within_budget(len(sc.compute_nodes) ** len(users) * subsets ** len(pairs))
 
     columns = stage1_columns(sc, stage1)
     demands = stage2_inputs(sc, stage1).demand
@@ -354,9 +330,7 @@ def exact_stage2(
 # Stage 3: per-object resolutions
 
 
-def exact_stage3(
-    sc: Scenario, stage1: Stage1Solution, bounds: OracleBounds = OracleBounds()
-) -> tuple[ResMap, float]:
+def exact_stage3(sc: Scenario, stage1: Stage1Solution) -> tuple[ResMap, float]:
     """Maximum attention-weighted QoE over per-object resolution choices.
 
     The traffic budget couples only a user's own objects, so users
@@ -367,10 +341,7 @@ def exact_stage3(
     the lexicographically smallest rung levels.
     """
     users = [u for u in sc.users if u.id in stage1.admitted]
-    estimate = 1.0
-    for u in users:
-        estimate *= float(len(sc.headset_of(u).resolutions)) ** len(u.objects)
-    _check_dimensions(sc, bounds, estimate)
+    _within_budget(sum(len(sc.headset_of(u).resolutions) ** len(u.objects) for u in users))
 
     best_map: ResMap = {}
     total = 0.0

@@ -466,7 +466,10 @@ def baseline_proportional_fair(
 
     Averages follow an exponentially weighted mean over a 100-TTI
     horizon, seeded with the one-PRB rate so nobody starts at zero. Ties
-    go to the lowest user id. Grant totals from stage 1 are ignored.
+    go to the lowest user id, where a ratio within a relative 1e-12 of the
+    best ties with it: seeded averages make every first ratio
+    `usable_prbs` up to rounding, which must not pick the winner. Grant
+    totals from stage 1 are ignored.
     """
     resolutions = stage1_object_resolutions(sc, stage1)
     ttis = sc.radio.ttis_per_window
@@ -482,7 +485,9 @@ def baseline_proportional_fair(
         rate = {uid: lt.se_of(uid, b.id) * b.usable_prbs for uid in users}
         avg = {uid: lt.se_of(uid, b.id) for uid in users}
         for tti in range(ttis):
-            winner = min(users, key=lambda uid: (-rate[uid] / avg[uid], uid))
+            ratio = {uid: rate[uid] / avg[uid] for uid in users}
+            best = max(ratio.values())
+            winner = min(uid for uid in users if ratio[uid] >= best * (1 - 1e-12))
             schedule[(b.id, tti)] = ((winner, b.usable_prbs),)
             for uid in users:
                 served = rate[uid] if uid == winner else 0.0

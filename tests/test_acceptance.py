@@ -136,6 +136,20 @@ def test_refined_qoe_tracks_the_exhaustive_optimum():
             f"worst QoE ratio {worst:.3f} over 50 instances")
 
 
+def test_refined_qoe_tracks_the_exact_optimum_at_paper_scale():
+    # users decompose, so the exact refinement enumerates 1200 x 3**5 scenes
+    floors = {1000: 0.884, 1001: 0.911}
+    ratios = {}
+    for seed in floors:
+        sc = generate_synthetic(seed, 1200, 10, 13)
+        s1 = vexa(sc)
+        _, best = exact_stage3(sc, s1)
+        ratios[seed] = total_qoe_stage3(sc, s1, amps(sc, s1).object_resolution) / best
+    _report("paper-scale refinement gap", all(ratios[s] >= floors[s] for s in floors),
+            ", ".join(f"seed {s} QoE ratio {r:.4f} (floor {floors[s]})"
+                      for s, r in ratios.items()))
+
+
 def test_association_solves_twelve_hundred_users_within_a_second():
     sc = generate_synthetic(seed=7, n_users=1200, n_bs=10, n_cns=13)
     t0 = time.perf_counter()

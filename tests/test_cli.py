@@ -144,6 +144,25 @@ def test_config_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_oracle_refuses_a_count_past_the_float_range(capsys):
+    # 6**400 placements alone: the count is an integer, its estimate inf
+    assert main(["run", "--users", "400", "--bs", "4", "--cns", "6",
+                 "--methods", "vexa,oracle_stage2", "--out", os.devnull]) == 2
+    err = capsys.readouterr().err
+    assert "over budget" in err and "estimated inf candidate evaluations" in err
+
+
+ORACLES = ["vexa", "oracle_stage1", "gepar", "oracle_stage2", "amps", "oracle_stage3"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_oracles_run_on_a_three_user_default_city(tmp_path, seed):
+    out = tmp_path / "r.csv"
+    assert main(["run", "--seed", str(seed), "--users", "3", "--bs", "2", "--cns", "2",
+                 "--methods", ",".join(ORACLES), "--out", str(out)]) == 0
+    assert [line.split(",")[1] for line in out.read_text().splitlines()[1:]] == ORACLES
+
+
 def test_infeasible_placement_exits_1(tmp_path, capsys):
     sc_path = tmp_path / "sc.json"
     doc = json.loads(scenario_to_json(tiny_scenario(seed=2)))

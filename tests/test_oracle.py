@@ -1,42 +1,31 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from helpers import make_scenario, tiny_scenario
 from vrcgsim.oracle import (
-    OracleBounds,
     OracleRefusal,
     exact_stage1,
     exact_stage2,
     exact_stage3,
 )
+from vrcgsim.scenario import generate_synthetic
 from vrcgsim.stage1 import total_qoe_stage1, verify_stage1, vexa
 from vrcgsim.stage2 import gepar, total_cost, verify_stage2
-from vrcgsim.stage3 import amps, total_qoe_stage3
-
-
-def test_refuses_oversized_instance_with_estimate():
-    sc = make_scenario(
-        users=[{"id": f"u{i}", "position": [1000.0 + i, 1000.0]} for i in range(6)],
-        base_stations=[{"id": "bs0", "position": [1000.0, 1000.0]}],
-    )
-    with pytest.raises(OracleRefusal) as exc:
-        exact_stage1(sc)
-    assert "users" in str(exc.value)
-    # 6 users, each with 1 cell x 2 resolutions x 2 rates plus rejection
-    assert exc.value.estimate == 5.0**6
+from vrcgsim.stage3 import amps, total_qoe_stage3, verify_stage3
 
 
 def test_refuses_when_enumeration_exceeds_budget():
     sc = make_scenario(
-        users=[{"id": f"u{i}", "position": [1000.0 + i, 1000.0]} for i in range(4)],
+        users=[{"id": f"u{i}", "position": [1000.0 + i, 1000.0]} for i in range(11)],
         base_stations=[{"id": "bs0", "position": [1000.0, 1000.0]}],
-        radio={"ttis_per_window": 2},
     )
     with pytest.raises(OracleRefusal) as exc:
-        exact_stage1(sc, OracleBounds(budget=100))
+        exact_stage1(sc)
     assert "budget" in str(exc.value)
-    assert exc.value.estimate == 5.0**4
+    # 11 users, each with 1 cell x 2 resolutions x 2 rates plus rejection
+    assert exc.value.estimate == 5.0**11
 
 
 def test_slack_instance_reaches_each_users_best_axis():
@@ -80,15 +69,15 @@ def test_vexa_stays_close_to_exact_optimum():
 
 def test_placement_refuses_oversized_instance():
     sc = make_scenario(
-        users=[{"id": f"u{i}", "position": [1000.0 + i, 1000.0]} for i in range(6)],
+        users=[{"id": f"u{i}", "position": [1000.0 + i, 1000.0]} for i in range(9)],
         base_stations=[{"id": "bs0", "position": [1000.0, 1000.0]}],
     )
     s1 = vexa(sc)
-    assert len(s1.admitted) == 6
+    assert len(s1.admitted) == 9
     with pytest.raises(OracleRefusal) as exc:
         exact_stage2(sc, s1)
-    assert "users" in str(exc.value)
-    assert exc.value.estimate == 7.0**6  # path subsets dominate, one node
+    assert "budget" in str(exc.value)
+    assert exc.value.estimate == 7.0**9  # path subsets dominate, one node
 
 
 def test_placement_picks_the_only_reachable_node():
@@ -183,3 +172,28 @@ def test_amps_stays_close_to_exact_optimum():
         got = total_qoe_stage3(sc, s1, amps(sc, s1).object_resolution)
         assert got <= best + 1e-9
         assert got >= 0.90 * best - 1e-9
+
+
+def test_every_oracle_solves_the_three_user_default_city():
+    # four frame rates and 2000 TTIs, which no oracle enumerates; the
+    # candidate counts are about 1.3e3, 2.7e3 and 729
+    sc = generate_synthetic(seed=1, n_users=3, n_bs=2, n_cns=2)
+    s1, best1 = exact_stage1(sc)
+    assert verify_stage1(s1, sc) == []
+    assert total_qoe_stage1(sc, s1) == pytest.approx(best1)
+    heuristic = vexa(sc)
+    assert total_qoe_stage1(sc, heuristic) <= best1 + 1e-9
+
+    s2, best2 = exact_stage2(sc, heuristic)
+    assert verify_stage2(s2, sc, heuristic) == []
+    assert total_cost(s2, sc, heuristic).total == pytest.approx(best2)
+    placed = gepar(sc, heuristic)
+    assert placed.unplaced == frozenset()
+    assert best2 <= total_cost(placed, sc, heuristic).total + 1e-9
+
+    # the exact resolutions ride on amps's grants, which stage 1 fixes
+    refined = amps(sc, heuristic)
+    best_map, best3 = exact_stage3(sc, heuristic)
+    assert verify_stage3(replace(refined, object_resolution=best_map), sc, heuristic) == []
+    assert total_qoe_stage3(sc, heuristic, best_map) == pytest.approx(best3)
+    assert total_qoe_stage3(sc, heuristic, refined.object_resolution) <= best3 + 1e-9

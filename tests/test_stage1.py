@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 from helpers import make_scenario
 
-from vrcgsim.oracle import OracleBounds, exact_stage1
+from vrcgsim.oracle import exact_stage1
 from vrcgsim.scenario import generate_synthetic
 from vrcgsim.stage1 import (
     Stage1Solution,
@@ -84,7 +84,7 @@ def test_contended_association_matches_exhaustive_optimum():
     pool slack spent on its resolution upgrade."""
     sc = near_far_scenario(seed=1)
     sol = vexa(sc)
-    oracle_sol, oracle_obj = exact_stage1(sc, OracleBounds(max_ttis=64))
+    oracle_sol, oracle_obj = exact_stage1(sc)
     assert verify_stage1(sol, sc) == []
     assert len(sol.admitted) == len(oracle_sol.admitted) == 2
     assert total_qoe_stage1(sc, sol) == pytest.approx(oracle_obj)

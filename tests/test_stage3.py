@@ -1,13 +1,16 @@
 import math
 import statistics
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_scenario, tiny_scenario
+from vrcgsim import stage3
 from vrcgsim.radio import (
     frame_bits,
+    link_tables,
     render_latency_s,
     routing_latency_s,
     traffic_load_bps,
@@ -378,3 +381,16 @@ def test_group_coverage_matches_the_plain_scan(data):
     )
     found = [v for v in verify_stage3(sol, sc, stage1) if v.kind == "groups"]
     assert found == _group_scan(sol, sc, stage1)
+
+
+@pytest.mark.parametrize("seed", [21, 5, 7])
+def test_pf_winners_ignore_rounding_noise_in_the_rates(monkeypatch, seed):
+    # seeded averages make every first ratio usable_prbs up to one ulp
+    sc = generate_synthetic(seed=seed, n_users=60, n_bs=4, n_cns=6)
+    s1 = vexa(sc)
+    plain = baseline_proportional_fair(sc, s1).schedule
+    lt = link_tables(sc)
+    for scale in (1 - 1e-15, 1 + 1e-15):
+        monkeypatch.setattr(stage3, "link_tables",
+                            lambda sc, scale=scale: replace(lt, se_bps=lt.se_bps * scale))
+        assert baseline_proportional_fair(sc, s1).schedule == plain
