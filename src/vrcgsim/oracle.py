@@ -32,7 +32,10 @@ BUDGET = 10**7  # candidate evaluations per oracle call
 
 
 class OracleRefusal(ValueError):
-    """Enumeration over BUDGET; carries the candidate count as a float."""
+    """An enumeration over BUDGET.
+
+    `estimate` is the candidate count as a float, inf past the float range.
+    """
 
     def __init__(self, reason: str, estimate: float):
         self.estimate = estimate
