@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from helpers import make_scenario, tiny_scenario
+from vrcgsim import oracle
 from vrcgsim.oracle import (
     OracleRefusal,
     exact_stage1,
@@ -16,7 +17,7 @@ from vrcgsim.stage2 import gepar, total_cost, verify_stage2
 from vrcgsim.stage3 import amps, total_qoe_stage3, verify_stage3
 
 
-def test_refuses_when_enumeration_exceeds_budget():
+def test_refuses_oversized_instance_with_estimate():
     sc = make_scenario(
         users=[{"id": f"u{i}", "position": [1000.0 + i, 1000.0]} for i in range(11)],
         base_stations=[{"id": "bs0", "position": [1000.0, 1000.0]}],
@@ -26,6 +27,22 @@ def test_refuses_when_enumeration_exceeds_budget():
     assert "budget" in str(exc.value)
     # 11 users, each with 1 cell x 2 resolutions x 2 rates plus rejection
     assert exc.value.estimate == 5.0**11
+
+
+def test_refuses_when_enumeration_exceeds_budget(monkeypatch):
+    sc = make_scenario(
+        users=[{"id": f"u{i}", "position": [1000.0 + i, 1000.0]} for i in range(4)],
+        base_stations=[{"id": "bs0", "position": [1000.0, 1000.0]}],
+        radio={"ttis_per_window": 2},
+    )
+    # a count of exactly the budget is enumerated, one more is refused
+    monkeypatch.setattr(oracle, "BUDGET", 5**4)
+    exact_stage1(sc)
+    monkeypatch.setattr(oracle, "BUDGET", 5**4 - 1)
+    with pytest.raises(OracleRefusal) as exc:
+        exact_stage1(sc)
+    assert "budget" in str(exc.value)
+    assert exc.value.estimate == 5.0**4
 
 
 def test_slack_instance_reaches_each_users_best_axis():
