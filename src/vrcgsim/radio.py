@@ -9,8 +9,9 @@ decomposed into six parts (crosshaul routing, rendering, propagation,
 transmission, frame processing, queueing) and a frame misses its deadline
 when the sum for some serving base station exceeds the frame period.
 Routing, rendering, propagation and frame processing are fixed by the
-stream and the serving cell (fixed_parts); stage1.latency_columns adds
-the air time of a solution's grants and the queueing its arrivals cause.
+stream and the serving cell (fixed_parts, one formula for single columns
+and for arrays of them); stage1.latency_columns adds the air time of a
+solution's grants and the queueing its arrivals cause.
 """
 from __future__ import annotations
 
@@ -24,13 +25,14 @@ from .scenario import BaseStation, Scenario, User, distance, pixels
 
 @dataclass(frozen=True)
 class LinkTables:
-    """SINR, one-PRB rate and ranking for every user/BS pair, in one pass."""
+    """SINR, one-PRB rate, distance and ranking for every user/BS pair, in one pass."""
 
     user_index: dict[str, int]  # user id -> row
     bs_index: dict[str, int]  # base station id -> column
     sinr: np.ndarray  # [user, bs]
     se_bps: np.ndarray  # [user, bs], bits/s of a single PRB
     rank: np.ndarray  # [user, bs], place among the user's covering cells, -1 if not covering
+    distance_m: np.ndarray  # [user, bs], the scalar `distance` of each pair
 
     def se_of(self, uid: str, bid: str) -> float:
         return float(self.se_bps[self.user_index[uid], self.bs_index[bid]])
@@ -73,22 +75,26 @@ def link_tables(sc: Scenario) -> LinkTables:
     interference = rx @ others.astype(float)
     sinr_m = rx / (interference + noise)
     se = bw * np.log2(1.0 + sinr_m)
-    covers = np.array(
-        [[distance(u.position, b.position) <= b.coverage_radius_m for b in sc.base_stations]
-         for u in sc.users],
-        dtype=bool,
+    # coverage and propagation read the scalar distance, which np.hypot
+    # may miss in the last bit
+    dist = np.array(
+        [[distance(u.position, b.position) for b in sc.base_stations] for u in sc.users],
+        dtype=float,
     ).reshape(d.shape)
+    covers = dist <= np.array([b.coverage_radius_m for b in sc.base_stations], dtype=float)
     # a stable sort keeps equal SINRs in column order, and the inverse of
     # the sort order is each cell's place; int8 while it fits
     order = np.argsort(np.where(covers, -sinr_m, np.inf), axis=1, kind="stable")
     rank = np.where(covers, order.argsort(axis=1), -1).astype(np.min_scalar_type(-len(ch) - 1))
-    sinr_m.flags.writeable = se.flags.writeable = rank.flags.writeable = False
+    for table in (sinr_m, se, rank, dist):
+        table.flags.writeable = False
     tables = LinkTables(
         user_index={u.id: i for i, u in enumerate(sc.users)},
         bs_index={b.id: j for j, b in enumerate(sc.base_stations)},
         sinr=sinr_m,
         se_bps=se,
         rank=rank,
+        distance_m=dist,
     )
     sc._lookup["links"] = tables
     return tables
@@ -104,7 +110,11 @@ def traffic_load_bps(
 
 def frame_bits(sc: Scenario, resolution: tuple[int, int]) -> float:
     """Compressed size of one full frame in bits."""
-    return pixels(resolution) * sc.radio.bits_per_pixel * sc.radio.compression_rate
+    return _bits(sc, pixels(resolution))
+
+
+def _bits(sc: Scenario, px):
+    return px * sc.radio.bits_per_pixel * sc.radio.compression_rate
 
 
 def routing_latency_s(sc: Scenario, bs: BaseStation) -> float:
@@ -117,19 +127,30 @@ def render_latency_s(sc: Scenario, resolution: tuple[int, int], fps: float, cn_i
     return pixels(resolution) * fps / sc.cn(cn_id).render_speed_pps
 
 
-def fixed_parts(
-    sc: Scenario, user: User, bs: BaseStation, resolution: tuple[int, int], fps: float
-) -> tuple[float, float, float, float]:
-    """Routing, render, propagation and frame processing of one column.
+def cell_terms(sc: Scenario, bs: BaseStation) -> tuple[float, float, float]:
+    """What the fixed parts read of a serving cell.
+
+    Its best route latency, the render speed of its nearest node and its
+    frame processing capacity.
+    """
+    return (routing_latency_s(sc, bs), sc.cn(bs.nearest_cn).render_speed_pps,
+            bs.processing_capacity_bps)
+
+
+def fixed_parts(sc: Scenario, routing_s, render_pps, processing_bps, distance_m, px, fps):
+    """Routing, render, propagation and frame processing of columns.
 
     These are the parts of a column that neither grants nor the queue
-    change; the frame is rendered at the cell's nearest node.
+    change; the frame is rendered at the cell's nearest node. The cell's
+    terms come from cell_terms, px is the pixel count of the resolution.
+    Every argument after sc may be a number, for one column, or an array,
+    for many; both evaluate the same operations in the same order.
     """
     return (
-        routing_latency_s(sc, bs),
-        render_latency_s(sc, resolution, fps, bs.nearest_cn),
-        distance(user.position, bs.position) / sc.radio.speed_of_light_mps,
-        frame_bits(sc, resolution) / bs.processing_capacity_bps,
+        routing_s,
+        px * fps / render_pps,
+        distance_m / sc.radio.speed_of_light_mps,
+        _bits(sc, px) / processing_bps,
     )
 
 
@@ -141,7 +162,8 @@ def fixed_latency_s(
     Summed in the order fixed_parts lists them; each caller adds its own
     air-time and queueing terms on top.
     """
-    return sum(fixed_parts(sc, user, bs, resolution, fps))
+    return sum(fixed_parts(sc, *cell_terms(sc, bs), distance(user.position, bs.position),
+                           pixels(resolution), fps))
 
 
 def buffer_latency_s(bs: BaseStation, arrival_fps: float) -> float:

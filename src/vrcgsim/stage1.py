@@ -12,23 +12,39 @@ configured connection cap).
 A second phase (maximize_qoe) then walks admitted users most-dissatisfied
 first and raises resolution (quality players) or frame rate (performance
 players) one rung at a time while the PRB pool, per-cell throughput, the
-frame queue and the per-frame deadline keep holding.
+frame queue and the per-frame deadline keep holding. A user whose step
+does not fit is not offered one again until a cell serving them gets
+grants back, since nothing else can make it fit; the pass reaches the
+same fixed point by the same moves as offering everyone a step every
+round.
+
+Grants are sized as arrays over (user, cell, rung) columns, each column
+priced at most once per solve: the entry rung of every covering pair, and
+in each upgrade round the next rung of the users offered a step. vexa
+hands its context to maximize_qoe on the intermediate solution, so a
+solve builds it once and nothing of it outlives the solve.
 
 A solution's six-part latency columns and each cell's served users are
-derived in one place each (latency_columns, served_users); verify_stage1,
-stage 2's input table and stage 3 read them and keep their own decisions.
+derived in one place each (latency_columns, served_users); stage 2's
+input table and stage 3 read them and keep their own decisions.
+verify_stage1 decides throughput and deadlines as array passes over the
+serving pairs, from the same fixed-latency formula (radio.fixed_parts)
+but with its own exact queue, and words only the users they flag.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
 from .radio import (
     buffer_latency_s,
-    fixed_latency_s,
+    cell_terms,
     fixed_parts,
     frame_bits,
     link_tables,
@@ -58,7 +74,9 @@ class Stage1Solution:
     input table there, stage 3 its grant layout and each user's fixed
     latency), so it lives and dies with the timestep's solution. The
     latency columns those readers start from (latency_columns) are not
-    kept: each reader derives them and keeps only what it decides.
+    kept: each reader derives them and keeps only what it decides. vexa
+    leaves its solve context on the solution it hands to maximize_qoe,
+    which takes it off.
     """
 
     assoc: dict[str, tuple[str, ...]]
@@ -108,6 +126,7 @@ def latency_columns(
             if bid in arrivals:
                 arrivals[bid] += solution.frame_rate[uid]
     lt = link_tables(sc)
+    terms = {bid: cell_terms(sc, bs) for bid, bs in cells.items()}
     out: dict[str, dict[str, tuple[float, float, float, float, float, float]]] = {}
     for uid in rated:
         res = solution.resolution.get(uid)
@@ -120,7 +139,8 @@ def latency_columns(
             bs = cells.get(bid)
             if bs is None:
                 continue
-            routing, render, propagation, processing = fixed_parts(sc, u, bs, res, fps)
+            routing, render, propagation, processing = fixed_parts(
+                sc, *terms[bid], distance(u.position, bs.position), pixels(res), fps)
             grants = solution.prbs.get((uid, bid), 0)
             tx = math.inf if grants <= 0 else bits / (grants * lt.se_of(uid, bid))
             cols[bid] = (routing, render, propagation, tx, processing,
@@ -175,50 +195,133 @@ def total_qoe_stage1(sc: Scenario, solution: Stage1Solution) -> float:
 
 
 class _Ctx:
-    """One solve's view of the link tables, plus capacities.
+    """One solve's view of the link tables, plus capacities and grant sizes.
 
     rank maps each user to their covering cells, best first, and each
-    cell to its rank.
+    cell to its rank. Grant sizes are priced in array batches over
+    (user, cell, rung) columns: the entry rung of every covering pair once
+    at construction, which demand reads for each split, and whatever
+    batch an upgrade round asks of size.
     """
 
     def __init__(self, sc: Scenario):
         self.sc = sc
         self.lt = lt = link_tables(sc)
         bids = list(lt.bs_index)
-        order = np.argsort(np.where(lt.rank < 0, len(bids), lt.rank), axis=1).tolist()
-        covered = (lt.rank >= 0).sum(axis=1).tolist()
-        self.rank: dict[str, dict[str, int]] = {
-            uid: {bids[j]: k for k, j in enumerate(order[i][: covered[i]])}
-            for uid, i in lt.user_index.items()
-        }
+        order = np.argsort(np.where(lt.rank < 0, len(bids), lt.rank), axis=1)
+        covered = (lt.rank >= 0).sum(axis=1)
+        ranked, counts = order.tolist(), covered.tolist()
+        self.rank: dict[str, dict[str, int]] = {}
+        shared: dict[tuple, dict[str, int]] = {}  # users ranking alike share one read-only dict
+        for uid, i in lt.user_index.items():
+            cols = tuple(ranked[i][: counts[i]])
+            r = shared.get(cols)
+            if r is None:
+                r = shared[cols] = {bids[j]: k for k, j in enumerate(cols)}
+            self.rank[uid] = r
         self.pool = {b.id: grant_pool(b, sc.radio) for b in sc.base_stations}
         self.cap = {b.id: b.frame_capacity_fps for b in sc.base_stations}
+        # per cell: the fixed parts' cell terms, then the worst-case queue at
+        # the solver's admission cap (half the frame capacity), so later
+        # admissions can never break an earlier check
+        self._cells = np.array(
+            [(*cell_terms(sc, b), 2.0 / self.cap[b.id]) for b in sc.base_stations], dtype=float
+        ).reshape(-1, 4).T
+        # covering pairs, user by user and best cell first
+        within = np.arange(len(bids)) < covered[:, None]
+        self._covering = np.nonzero(within)[0], order[within]
+        self._first = [0, *np.cumsum(covered).tolist()]
+        self._rung_id: dict[tuple, int] = {}
+        self._rungs: list[tuple] = []  # (pixels, fps, frame bits, load, deadline, groups)
+        self._quality = {g.id: g.preference_mode == "quality" for g in sc.games}
+        self._ladders: dict[tuple, tuple[list, list[tuple]]] = {}
+        entry = {h.id: self.rung(h.resolutions[0], h.frame_rates[0]) for h in sc.headsets}
+        rows, cols = self._covering
+        rungs = np.array([entry[u.headset] for u in sc.users], dtype=np.intp).reshape(-1)
+        self._entry_priced = self._price(rows, cols, rungs[rows])
+        self._entry: dict[int, list[int | None]] = {}  # parts -> size of each covering pair
 
-    def demand(self, uid: str, bid: str, parts: int, res, fps) -> int | None:
-        """Grants one cell must give when the stream is split parts ways.
+    def rung(self, res, fps) -> int:
+        """Row of the selection (res, fps) in the table of what sizing reads of it."""
+        key = (res, fps)
+        r = self._rung_id.get(key)
+        if r is None:
+            sc = self.sc
+            r = self._rung_id[key] = len(self._rungs)
+            self._rungs.append((
+                pixels(res), fps, frame_bits(sc, res), traffic_load_bps(sc, 1.0, res, fps),
+                sc.radio.deadline_for(fps) + 1e-12, sc.radio.tti_groups_for(fps),
+            ))
+        return r
+
+    def _price(self, rows, cols, rungs):
+        """The parts of each column's sizing that the split does not change."""
+        routing, render_pps, processing, queue = self._cells[:, cols]
+        table = np.array(self._rungs, dtype=float).reshape(-1, 6)
+        px, fps, bits, load, deadline, groups = table[rungs].T
+        fixed = sum(fixed_parts(self.sc, routing, render_pps, processing,
+                                self.lt.distance_m[rows, cols], px, fps)) + queue
+        se = self.lt.se_bps[rows, cols]
+        return fixed, deadline, bits, load, groups, se
+
+    @staticmethod
+    def _grants(priced, parts) -> list[int | None]:
+        """Grants per column when its stream is split `parts` ways.
 
         Sized for the larger of the carried bit rate and the grants needed
         to push a whole frame over the air inside the deadline; the frame
         never shrinks with a split, so the deadline term ignores parts.
-        The fixed latency takes the worst-case queue at the solver's
-        admission cap (half the frame capacity), so later admissions can
-        never break an earlier check. None when no grant count meets the
-        deadline.
+        None when no grant count meets the deadline. A size past 2**62
+        grants, which no pool holds, reads as 2**62.
         """
-        sc = self.sc
-        se = self.lt.se_of(uid, bid)
-        if se <= 0:
-            return None
-        deadline = sc.radio.deadline_for(fps) + 1e-12
-        fixed = fixed_latency_s(sc, sc.user(uid), sc.bs(bid), res, fps) + 2.0 / self.cap[bid]
-        budget = deadline - fixed
-        if budget <= 0:
-            return None
-        bits = frame_bits(sc, res)
-        need = math.ceil(traffic_load_bps(sc, 1.0, res, fps) / (parts * se))
-        tight = math.ceil(bits / (budget * se))
-        grants = max(need, tight, sc.radio.tti_groups_for(fps))
-        return grants if fixed + bits / (grants * se) <= deadline else None
+        fixed, deadline, bits, load, groups, se = priced
+        at = np.flatnonzero((se > 0) & (deadline - fixed > 0))
+        need = np.ceil(load[at] / (parts * se)[at])
+        fixed, deadline, bits, se = fixed[at], deadline[at], bits[at], se[at]
+        tight = np.ceil(bits / ((deadline - fixed) * se))
+        grants = np.maximum(np.maximum(need, tight), groups[at])
+        meets = fixed + bits / (grants * se) <= deadline
+        out: list[int | None] = [None] * len(priced[0])
+        for k, g in zip(at[meets].tolist(),
+                        np.minimum(grants[meets], 2.0 ** 62).astype(np.int64).tolist()):
+            out[k] = g
+        return out
+
+    def size(self, rows, cols, rungs, parts) -> list[int | None]:
+        """Grants of each (user row, cell column, rung, split) column, in one batch."""
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        return self._grants(self._price(rows, cols, np.asarray(rungs, dtype=np.intp)),
+                            np.asarray(parts, dtype=float))
+
+    def demand(self, uid: str, parts: int) -> list[int | None]:
+        """Grants each covering cell must give uid at entry settings, best cell first.
+
+        The stream is split `parts` ways; see _grants.
+        """
+        sizes = self._entry.get(parts)
+        if sizes is None:
+            sizes = self._entry[parts] = self._grants(self._entry_priced, parts)
+        i = self.lt.user_index[uid]
+        return sizes[self._first[i]:self._first[i + 1]]
+
+    def ladder(self, uid: str, res, fps) -> tuple[list[tuple], int]:
+        """uid's rungs as (res, fps, rung row, QoE), and where (res, fps) stands.
+
+        The rungs run along the user's axis of preference with the other
+        selection held; ValueError when (res, fps) is off the menu.
+        """
+        u = self.sc.user(uid)
+        quality = self._quality[u.game]
+        key = (u.headset, quality, fps if quality else res)
+        found = self._ladders.get(key)
+        if found is None:
+            sc = self.sc
+            hs = sc.headset_of(u)
+            picks = ([(r, fps) for r in hs.resolutions] if quality
+                     else [(res, f) for f in hs.frame_rates])
+            found = self._ladders[key] = picks, [
+                (r, f, self.rung(r, f), _qoe(sc, uid, r, f)) for r, f in picks]
+        return found[1], found[0].index((res, fps))
 
 
 class _State:
@@ -294,17 +397,16 @@ def _try_place(ctx: _Ctx, st: _State, uid: str, parts: int) -> list[str] | None:
     index = ctx.lt.user_index
     chosen: dict[str, int] = {}
     evicted: dict[str, None] = {}  # in eviction order
-    freed_pool = {bid: 0 for bid in ctx.pool}
-    freed_arr = {bid: 0.0 for bid in ctx.pool}
+    freed_pool = dict.fromkeys(ctx.pool, 0)
+    freed_arr = dict.fromkeys(ctx.pool, 0.0)
 
     def fits(bid: str, ask: int) -> bool:
         return (ask <= ctx.pool[bid] - st.used[bid] + freed_pool[bid]
                 and fps <= 0.5 * ctx.cap[bid] - st.arrivals[bid] + freed_arr[bid])
 
-    for my_rank, bid in enumerate(ctx.rank[uid]):
+    for my_rank, (bid, ask) in enumerate(zip(ctx.rank[uid], ctx.demand(uid, parts))):
         if len(chosen) == parts:
             break
-        ask = ctx.demand(uid, bid, parts, res, fps)
         if ask is None:
             continue
         if fits(bid, ask):
@@ -374,7 +476,9 @@ def vexa(sc: Scenario, max_connections: int | None = None) -> Stage1Solution:
         remaining = failed
         if not remaining:
             break
-    return maximize_qoe(st.to_solution(), sc)
+    admitted = st.to_solution()
+    admitted._memo["ctx"] = (sc, ctx)  # the upgrade pass sizes from the same context
+    return maximize_qoe(admitted, sc)
 
 
 def baseline_single_association(sc: Scenario) -> Stage1Solution:
@@ -391,67 +495,116 @@ def baseline_dual_connectivity(sc: Scenario) -> Stage1Solution:
 # QoE upgrades
 
 
-def _next_option(sc: Scenario, uid: str, solution_res, solution_fps):
-    hs = sc.headset_of(sc.user(uid))
-    if is_quality(sc, uid):
-        i = hs.resolutions.index(solution_res)
-        if i + 1 == len(hs.resolutions):
-            return None
-        return hs.resolutions[i + 1], solution_fps
-    i = hs.frame_rates.index(solution_fps)
-    if i + 1 == len(hs.frame_rates):
+def _offer_steps(ctx: _Ctx, st: _State, users, climb, offer) -> None:
+    """Size the next rung of each user's serving cells, in one batch.
+
+    offer[uid] becomes (res, fps, grants per serving cell) of that rung,
+    or None for a user at the top of its ladder.
+    """
+    index, column = ctx.lt.user_index, ctx.lt.bs_index.__getitem__
+    rows: list[int] = []
+    cols: list[int] = []
+    rungs: list[int] = []
+    parts: list[int] = []
+    steps = []
+    for uid in users:
+        ladder, pos = climb[uid]
+        if pos + 1 == len(ladder):
+            offer[uid] = None
+            continue
+        res, fps, rung, _ = ladder[pos + 1]
+        cells = st.place[uid]
+        n = len(cells)
+        rows += [index[uid]] * n
+        cols += map(column, cells)
+        rungs += [rung] * n
+        parts += [n] * n
+        steps.append((uid, res, fps, n))
+    sizes = ctx.size(rows, cols, rungs, parts)
+    at = 0
+    for uid, res, fps, n in steps:
+        offer[uid] = res, fps, sizes[at:at + n]
+        at += n
+
+
+def _try_upgrade(ctx: _Ctx, st: _State, uid: str, step) -> list[str] | None:
+    """Move uid to its sized next rung; the cells that gained slack, or None.
+
+    None when the step does not fit: no next rung, a cell with no grant
+    count for it, a pool or a queue cap it would overrun. Only grants can
+    be given back: frame rates never fall, since ladders strictly rise.
+    """
+    if step is None:
         return None
-    return solution_res, hs.frame_rates[i + 1]
-
-
-def _try_upgrade(ctx: _Ctx, st: _State, uid: str) -> bool:
-    nxt = _next_option(ctx.sc, uid, st.res[uid], st.fps[uid])
-    if nxt is None:
-        return False
-    res2, fps2 = nxt
+    res2, fps2, asks = step
     placements = st.place[uid]
-    parts = len(placements)
-    new_grants = {}
-    for bid, g in placements.items():
-        g2 = ctx.demand(uid, bid, parts, res2, fps2)
+    fps = st.fps[uid]
+    for (bid, g), g2 in zip(placements.items(), asks):
         if g2 is None:
-            return False
+            return None
         if st.used[bid] - g + g2 > ctx.pool[bid]:
-            return False
-        if st.arrivals[bid] - st.fps[uid] + fps2 > 0.5 * ctx.cap[bid]:
-            return False
-        new_grants[bid] = g2
+            return None
+        if st.arrivals[bid] - fps + fps2 > 0.5 * ctx.cap[bid]:
+            return None
+    freed = [bid for (bid, g), g2 in zip(placements.items(), asks) if g2 < g]
     st.remove(uid)
-    st.add(uid, new_grants, res2, fps2)
-    return True
+    st.add(uid, dict(zip(placements, asks)), res2, fps2)
+    return freed
 
 
 def maximize_qoe(solution: Stage1Solution, sc: Scenario) -> Stage1Solution:
     """Raise selections one rung at a time, most-dissatisfied user first.
 
-    Each round sorts admitted users by the gap between their best achievable
-    and current QoE and offers everyone a single step. Stops at the fixed
-    point where no single upgrade stays feasible. Upgrades only ever move
-    selections up.
+    Each round takes admitted users by the gap between their best
+    achievable and current QoE and offers each a single step. A step that
+    does not fit is not offered again until a cell serving the user gains
+    slack: the user's own selections are unchanged, queues only fill, and
+    pools only fill until an upgrade gives back grants. A user who regains
+    a chance comes back at their place in the order, in the same round if
+    that place is still ahead. Stops at the fixed point where no single
+    upgrade stays feasible, reached by the same moves as offering everyone
+    a step every round. Upgrades only ever move selections up. A selection
+    off the headset's menu raises ValueError.
     """
-    ctx = _Ctx(sc)
+    kept = solution._memo.pop("ctx", None)  # vexa's context, for this solve only
+    ctx = kept[1] if kept is not None and kept[0] is sc else _Ctx(sc)
     st = _State(ctx)
     for uid in solution.admitted:
         placements = {bid: solution.prbs[(uid, bid)] for bid in solution.assoc[uid]}
         st.add(uid, placements, solution.resolution[uid], solution.frame_rate[uid])
 
-    def gap(uid: str) -> float:
-        hs = sc.headset_of(sc.user(uid))
-        return (_qoe(sc, uid, hs.resolutions[-1], hs.frame_rates[-1])
-                - _qoe(sc, uid, st.res[uid], st.fps[uid]))
+    climb = {}  # uid -> (ladder, position on it)
+    key = {}  # uid -> (-gap, row), the order of a round
+    for uid in st.place:
+        climb[uid] = ladder, pos = ctx.ladder(uid, st.res[uid], st.fps[uid])
+        key[uid] = (-(ladder[-1][3] - ladder[pos][3]), ctx.lt.user_index[uid])
 
-    changed = True
-    while changed:
-        changed = False
-        order = sorted(st.place, key=lambda uid: (-gap(uid), ctx.lt.user_index[uid]))
-        for uid in order:
-            if _try_upgrade(ctx, st, uid):
-                changed = True
+    offer: dict[str, tuple | None] = {}  # uid -> its next rung, sized
+    waiting: set[str] = set()  # whose step failed, until a cell of theirs gains slack
+    ahead = list(st.place)
+    while ahead:
+        _offer_steps(ctx, st, [uid for uid in ahead if uid not in offer], climb, offer)
+        heap = sorted((key[uid], uid) for uid in ahead)
+        ahead = []
+        while heap:
+            here, uid = heapq.heappop(heap)
+            freed = _try_upgrade(ctx, st, uid, offer[uid])
+            if freed is None:
+                waiting.add(uid)
+                continue
+            ladder, pos = climb[uid]
+            climb[uid] = ladder, pos + 1
+            key[uid] = (-(ladder[-1][3] - ladder[pos + 1][3]), here[1])
+            del offer[uid]
+            ahead.append(uid)
+            for bid in freed:
+                for holders in st.holders[bid].values():
+                    for v in holders & waiting:
+                        waiting.discard(v)
+                        if key[v] > here:  # still ahead in this round
+                            heapq.heappush(heap, (key[v], v))
+                        else:
+                            ahead.append(v)
     return st.to_solution()
 
 
@@ -469,9 +622,10 @@ def verify_stage1(solution: Stage1Solution, sc: Scenario) -> list[Violation]:
     admitted set.
     """
     out: list[Violation] = []
-    known = {u.id for u in sc.users}
-    cells = {b.id: b for b in sc.base_stations}
+    known = sc._lookup["user"]
+    cells = sc._lookup["bs"]
     n = sc.radio.max_connections
+    priced: list[str] = []  # users on the menu with serving cells: their rates are audited
 
     for uid in sorted(solution.admitted):
         if uid not in known:
@@ -506,6 +660,8 @@ def verify_stage1(solution: Stage1Solution, sc: Scenario) -> list[Violation]:
             out.append(Violation("share", uid, "missing or non-positive share"))
         elif bids and abs(sum(shares) - 1.0) > 1e-9:
             out.append(Violation("share", uid, f"shares sum to {sum(shares):.12f}"))
+        if bids and res in hs.resolutions and fps in hs.frame_rates:
+            priced.append(uid)
 
     for uid in solution.assoc:
         if uid not in solution.admitted:
@@ -530,54 +686,97 @@ def verify_stage1(solution: Stage1Solution, sc: Scenario) -> list[Violation]:
         if used > pool:
             out.append(Violation("pool", bs.id, f"{used} grants allocated, budget {pool}"))
 
-    # deadlines are checked at offered resolutions only, so only those are
-    # priced; every frame rate still counts toward the queues
-    offered = {
-        uid: res for uid, res in solution.resolution.items()
-        if uid in known and res in sc.headset_of(sc.user(uid)).resolutions
-    }
-    columns = latency_columns(sc, replace(solution, resolution=offered))
+    return out + _rate_audit(solution, sc, priced)
+
+
+def _rate_audit(solution: Stage1Solution, sc: Scenario, users: list[str]) -> list[Violation]:
+    """Throughput and deadline of every serving pair of `users`, as array passes.
+
+    Each pair must carry its share of the stream within its grants' rate,
+    and each user's slowest serving cell (the first of equals) must meet
+    the deadline, queueing behind the exact frame arrivals of the admitted
+    set. users are known admitted users on the menu, with serving cells,
+    by id; only those the passes flag are worded, user by user.
+    """
+    if not users:
+        return []
     lt = link_tables(sc)
-    for uid in sorted(solution.admitted):
-        if uid not in known:
-            continue
-        u = sc.user(uid)
-        bids = solution.assoc.get(uid, ())
-        res = solution.resolution.get(uid)
-        fps = solution.frame_rate.get(uid)
-        if not bids or res not in sc.headset_of(u).resolutions or fps not in sc.headset_of(u).frame_rates:
-            continue
-        load = traffic_load_bps(sc, 1.0, res, fps)
-        for bid in bids:
-            if bid not in cells:
+    known = sc._lookup["user"]
+    arrivals = dict.fromkeys(lt.bs_index, 0.0)
+    for uid in solution.admitted:
+        if uid in known and uid in solution.frame_rate:
+            for bid in solution.assoc.get(uid, ()):
+                if bid in arrivals:
+                    arrivals[bid] += solution.frame_rate[uid]
+    cells = np.array(
+        [(*cell_terms(sc, b), buffer_latency_s(b, arrivals[b.id])) for b in sc.base_stations],
+        dtype=float,
+    ).reshape(-1, 4).T
+
+    streams: dict[tuple, int] = {}  # (res, fps) -> row of `stream`
+    stream: list[tuple] = []  # (pixels, fps, frame bits, load, deadline)
+    row: list[int] = []  # per user
+    first = [0]  # per user, its first pair
+    pairs: list[tuple[str, str]] = []
+    for uid in users:
+        res, fps = solution.resolution[uid], solution.frame_rate[uid]
+        k = streams.get((res, fps))
+        if k is None:
+            k = streams[(res, fps)] = len(stream)
+            stream.append((pixels(res), fps, frame_bits(sc, res),
+                           traffic_load_bps(sc, 1.0, res, fps),
+                           sc.radio.deadline_for(fps) + 1e-12))
+        row.append(k)
+        pairs += zip(repeat(uid), solution.assoc[uid])
+        first.append(len(pairs))
+    at = np.array(first[:-1])
+    user = np.repeat(np.arange(len(users)), np.diff(first))
+    px, fps, bits, load, deadline = np.array(stream, dtype=float)[row].T
+    px, fps, bits, load = px[user], fps[user], bits[user], load[user]
+    rows = np.fromiter(map(lt.user_index.__getitem__, map(itemgetter(0), pairs)),
+                       dtype=np.intp, count=len(pairs))
+    cols = np.fromiter(map(lt.bs_index.get, map(itemgetter(1), pairs), repeat(-1)),
+                       dtype=np.intp, count=len(pairs))
+    share = np.fromiter(map(solution.share.get, pairs, repeat(0.0)), dtype=float, count=len(pairs))
+    grants = np.fromiter(map(solution.prbs.get, pairs, repeat(0)), dtype=float, count=len(pairs))
+    stray = cols < 0  # a cell the scenario does not know
+    cols[stray] = 0
+    se = lt.se_bps[rows, cols]
+
+    carried = share * load
+    rate = grants * se
+    short = ~stray & (carried > rate * (1 + _REL_TOL) + 1e-9)
+
+    routing, render, propagation, processing = fixed_parts(
+        sc, *cells[:3, cols], lt.distance_m[rows, cols], px, fps)
+    tx = np.full(len(pairs), math.inf)
+    sent = (grants > 0) & ~stray
+    tx[sent] = bits[sent] / (grants[sent] * se[sent])
+    total = routing + render + propagation + tx + processing + cells[3, cols]
+    strays = np.logical_or.reduceat(stray, at)
+    late = ~strays & (np.maximum.reduceat(total, at) > deadline)
+
+    out: list[Violation] = []
+    flagged = late | strays | np.logical_or.reduceat(short, at)
+    for k in np.flatnonzero(flagged).tolist():
+        uid = users[k]
+        lo, hi = first[k], first[k + 1]
+        for p in range(lo, hi):
+            bid = pairs[p][1]
+            if stray[p]:
                 out.append(Violation("association-bounds", uid, f"unknown cell {bid}"))
-                continue
-            carried = solution.share.get((uid, bid), 0.0) * load
-            tp = solution.prbs.get((uid, bid), 0) * lt.se_of(uid, bid)
-            if carried > tp * (1 + _REL_TOL) + 1e-9:
-                out.append(
-                    Violation(
-                        "throughput",
-                        f"{uid}/{bid}",
-                        f"carries {carried:.1f} b/s over capacity {tp:.1f} b/s",
-                    )
-                )
-        if any(bid not in cells for bid in bids):
-            continue
-        # the slowest serving cell binds, the first of equals
-        totals = [
-            routing + render + propagation + tx + processing + queueing
-            for routing, render, propagation, tx, processing, queueing
-            in map(columns[uid].__getitem__, bids)
-        ]
-        worst = max(totals)
-        if worst > sc.radio.deadline_for(fps) + 1e-12:
-            out.append(
-                Violation(
-                    "deadline",
-                    uid,
-                    f"latency {worst * 1e3:.3f} ms over {sc.radio.deadline_for(fps) * 1e3:.3f} ms"
-                    f" (binding cell {bids[totals.index(worst)]})",
-                )
-            )
+            elif short[p]:
+                out.append(Violation(
+                    "throughput", f"{uid}/{bid}",
+                    f"carries {float(carried[p]):.1f} b/s over capacity {float(rate[p]):.1f} b/s",
+                ))
+        if late[k]:
+            totals = total[lo:hi].tolist()
+            worst = max(totals)
+            limit = sc.radio.deadline_for(solution.frame_rate[uid])
+            out.append(Violation(
+                "deadline", uid,
+                f"latency {worst * 1e3:.3f} ms over {limit * 1e3:.3f} ms"
+                f" (binding cell {pairs[lo + totals.index(worst)][1]})",
+            ))
     return out

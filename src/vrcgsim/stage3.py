@@ -18,11 +18,12 @@ group coverage on purpose. The layout and both baselines take each
 cell's users from stage1.served_users.
 
 mtp_latency and verify_stage3 read a schedule through flat_schedule, its
-grants as arrays, built at most once per solution, and mtp_latency reads
-the fixed latency parts from stage1.latency_columns; amps and mtpsched
-come with the layout's flat grants already in place. verify_stage3
-decides each schedule rule once, as array passes over those grants, and
-words only what they find, as a grant-by-grant audit would.
+grants as arrays, and each user's scene load, both built at most once per
+solution, and mtp_latency reads the fixed latency parts from
+stage1.latency_columns; amps and mtpsched come with the layout's flat
+grants already in place. verify_stage3 decides each schedule rule once,
+as array passes over those grants, and words only what they find, as a
+grant-by-grant audit would.
 """
 from __future__ import annotations
 
@@ -604,12 +605,13 @@ def mtp_latency(
     # read stage 1 alone, so they are priced once per stage-1 solution
     fixed = _kept(stage1, sc, "mtp_fixed", lambda: _worst_fixed(sc, stage1, users))
     fps_of = [stage1.frame_rate[u.id] for u in users]
-    per_frame = np.array([
-        objects_load(sc, stage1, solution.object_resolution, u.id) / fps
-        for u, fps in zip(users, fps_of)
-    ])
+    scene = _scene_loads(solution, sc, stage1)
+    if np.isnan(scene).any():  # an object has no resolution: raise as objects_load does
+        first = users[int(np.argmax(np.isnan(scene)))]
+        objects_load(sc, stage1, solution.object_resolution, first.id)
     n_frames = [max(1, math.ceil(fps * window - 1e-9)) for fps in fps_of]
     fps = np.array(fps_of, dtype=float)
+    per_frame = scene / fps
     frames = np.array(n_frames)
 
     # every user's frames, back to back; a user with nothing to send
@@ -666,6 +668,26 @@ def mtp_latency(
         {u.id: out[lo:lo + count] for u, lo, count in zip(users, offset, n_frames)},
         frozenset(u.id for u, t in zip(users, truncated) if t),
     )
+
+
+def _scene_loads(solution: Stage3Solution, sc: Scenario, stage1: Stage1Solution) -> np.ndarray:
+    """Each admitted user's objects_load, in catalog order, made once per solution.
+
+    NaN for a user with an object that has no resolution. Read-only.
+    """
+    def build():
+        loads = []
+        for u in sc.users:
+            if u.id in stage1.admitted:
+                try:
+                    loads.append(objects_load(sc, stage1, solution.object_resolution, u.id))
+                except KeyError:
+                    loads.append(math.nan)
+        scene = np.array(loads, dtype=float)
+        scene.flags.writeable = False
+        return scene
+
+    return _kept(solution, sc, "scene", build)
 
 
 def _worst_fixed(sc: Scenario, stage1: Stage1Solution, users) -> np.ndarray:
@@ -849,10 +871,8 @@ def _schedule_audit(
             )
 
     # user by user: the scene fits the stage-1 budget and the grants carry it
-    for u in users:
-        try:
-            scene = objects_load(sc, stage1, solution.object_resolution, u.id)
-        except KeyError:
+    for u, scene in zip(users, _scene_loads(solution, sc, stage1).tolist()):
+        if math.isnan(scene):
             continue  # reported as a missing object
         ceiling = traffic_load_bps(
             sc, 1.0, stage1.resolution[u.id], stage1.frame_rate[u.id]

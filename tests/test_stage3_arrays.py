@@ -244,6 +244,20 @@ def test_fixed_latency_is_priced_once_per_timestep(monkeypatch):
     assert first.average_s.keys() == again.average_s.keys()
 
 
+def test_scene_loads_are_priced_once_per_solution(monkeypatch):
+    """mtp_latency and the audit's load pass share one scene load per user."""
+    priced = []
+    load = stage3.objects_load
+    monkeypatch.setattr(stage3, "objects_load", lambda *a: priced.append(a[3]) or load(*a))
+    sc = generate_synthetic(seed=4, n_users=60, n_bs=3, n_cns=4)
+    s1 = vexa(sc)
+    for sol in (amps(sc, s1), mtpsched(sc, s1)):
+        priced.clear()
+        report = mtp_latency(sol, sc, s1)
+        assert verify_stage3(sol, sc, s1) == []
+        assert sorted(priced) == sorted(s1.admitted) == sorted(report.average_s)
+
+
 EDITS = (
     "drop", "move", "zero", "negative", "add-empty", "duplicate", "overfill",
     "outside", "unserved", "ghost-user", "ghost-cell", "regroup", "no-groups",
