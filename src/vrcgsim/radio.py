@@ -2,10 +2,10 @@
 
 The access link follows the urban street-canyon model at sub-6 GHz with a
 distance threshold separating line-of-sight from non-line-of-sight. The
-link tables (SINR, one-PRB rate and cell ranking of every user/cell pair)
-are built once per scenario instance and kept with it; step_positions
-makes a new instance, so every timestep gets its own tables. Latency is
-decomposed into six parts (crosshaul routing, rendering, propagation,
+link tables (SINR, one-PRB rate, distance and cell ranking of every
+user/cell pair) are built once per scenario instance and kept with it;
+step_positions makes a new instance, so every timestep gets its own
+tables. Latency is decomposed into six parts (crosshaul routing, rendering, propagation,
 transmission, frame processing, queueing) and a frame misses its deadline
 when the sum for some serving base station exceeds the frame period.
 Routing, rendering, propagation and frame processing are fixed by the
@@ -121,10 +121,6 @@ def routing_latency_s(sc: Scenario, bs: BaseStation) -> float:
     """Best crosshaul route latency from the cell's nearest node to the BS."""
     ps = sc.paths(bs.id, bs.nearest_cn)  # fastest first
     return ps[0].latency_s if ps else math.inf
-
-
-def render_latency_s(sc: Scenario, resolution: tuple[int, int], fps: float, cn_id: str) -> float:
-    return pixels(resolution) * fps / sc.cn(cn_id).render_speed_pps
 
 
 def cell_terms(sc: Scenario, bs: BaseStation) -> tuple[float, float, float]:

@@ -1,6 +1,7 @@
 """Path loss, SINR, throughput and the six-part latency budget."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,13 +16,15 @@ from scalar_radio import (
 )
 from vrcgsim.radio import (
     buffer_latency_s,
+    cell_terms,
+    fixed_latency_s,
+    fixed_parts,
     frame_bits,
     link_tables,
-    render_latency_s,
     routing_latency_s,
     traffic_load_bps,
 )
-from vrcgsim.scenario import distance, generate_synthetic
+from vrcgsim.scenario import distance, generate_synthetic, pixels
 from vrcgsim.stage1 import Stage1Solution, latency_columns, verify_stage1
 
 
@@ -170,9 +173,25 @@ def test_buffer_latency(sc):
 
 
 def test_render_latency(sc):
-    cn = sc.compute_nodes[0]
-    lat = render_latency_s(sc, (960, 1080), 72, cn.id)
-    assert lat == pytest.approx(960 * 1080 * 72 / cn.render_speed_pps)
+    """The frame is rendered at the serving cell's nearest node."""
+    b = sc.base_stations[0]
+    render = fixed_parts(sc, *cell_terms(sc, b), 0.0, pixels((960, 1080)), 72)[1]
+    assert render == pytest.approx(960 * 1080 * 72 / sc.cn(b.nearest_cn).render_speed_pps)
+
+
+def test_fixed_parts_agree_on_numbers_and_arrays(sc):
+    """One column at a time and all columns at once give the same bits."""
+    lt = link_tables(sc)
+    picks = [(u, b, res, fps) for u in sc.users for b in sc.base_stations
+             for res in sc.headset_of(u).resolutions for fps in sc.headset_of(u).frame_rates]
+    terms = np.array([cell_terms(sc, b) for _, b, _, _ in picks]).T
+    rows = [lt.user_index[u.id] for u, _, _, _ in picks]
+    cols = [lt.bs_index[b.id] for _, b, _, _ in picks]
+    arrays = fixed_parts(sc, *terms, lt.distance_m[rows, cols],
+                         np.array([pixels(res) for _, _, res, _ in picks], dtype=float),
+                         np.array([fps for _, _, _, fps in picks], dtype=float))
+    totals = sum(arrays).tolist()
+    assert totals == [fixed_latency_s(sc, u, b, res, fps) for u, b, res, fps in picks]
 
 
 def test_routing_latency_uses_best_path(sc):
@@ -204,7 +223,7 @@ def test_latency_breakdown_components(sc):
     # the user's own 72 frames/s are the cell's only arrivals
     assert queueing == pytest.approx(1.0 / (b.frame_capacity_fps - 72.0))
     assert routing == routing_latency_s(sc, b)
-    assert render == render_latency_s(sc, res, fps, b.nearest_cn)
+    assert render == pixels(res) * fps / sc.cn(b.nearest_cn).render_speed_pps
 
 
 def test_latency_breakdown_takes_worst_bs(sc):

@@ -11,7 +11,6 @@ from vrcgsim import stage3
 from vrcgsim.radio import (
     frame_bits,
     link_tables,
-    render_latency_s,
     routing_latency_s,
     traffic_load_bps,
 )
@@ -268,7 +267,7 @@ def test_mtp_follows_the_schedule_gaps():
     res, fps = s1.resolution["u0"], s1.frame_rate["u0"]
     fixed = (
         routing_latency_s(sc, b)
-        + render_latency_s(sc, res, fps, "cn0")
+        + pixels(res) * fps / sc.cn("cn0").render_speed_pps
         + distance(sc.user("u0").position, b.position) / sc.radio.speed_of_light_mps
         + frame_bits(sc, res) / b.processing_capacity_bps
     )
