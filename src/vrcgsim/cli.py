@@ -157,28 +157,27 @@ def _cmd_verify(args) -> int:
 
 
 def _load_results(path: str) -> list[tuple[int, str, dict]]:
-    """Rows of (timestep, method, column values) from a csv or json file."""
+    """Rows of (timestep, method, column values) from a csv or json file.
+
+    Each timestep and cell is converted as the file is read, so a value
+    that is not a number refuses the file before anything is printed.
+    """
     text = _read_file(path)
-    rows: list[tuple[int, str, dict]] = []
-    if text.lstrip().startswith("{"):
-        try:
-            doc = json.loads(text)
-            for report in doc["reports"]:
-                for method, cells in report["methods"].items():
-                    rows.append((int(report["timestep"]), method, cells))
-        except (json.JSONDecodeError, KeyError, TypeError) as e:
-            raise _CliError(f"{path}: not a result document: {e}", 2) from e
-        return rows
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames != list(CSV_COLUMNS):
-        raise _CliError(f"{path}: unexpected csv header", 2)
-    for rec in reader:
-        cells = {
-            col: (float(rec[col]) if rec[col] else None)
-            for col in CSV_COLUMNS[2:]
-        }
-        rows.append((int(rec["timestep"]), rec["method"], cells))
-    return rows
+    try:
+        if text.lstrip().startswith("{"):
+            rows = [(report["timestep"], method, cells)
+                    for report in json.loads(text)["reports"]
+                    for method, cells in report["methods"].items()]
+        else:
+            reader = csv.DictReader(io.StringIO(text))
+            if reader.fieldnames != list(CSV_COLUMNS):
+                raise _CliError(f"{path}: unexpected csv header", 2)
+            rows = [(rec["timestep"], rec["method"], rec) for rec in reader]
+        return [(int(t), method, {col: None if cells.get(col) in (None, "") else float(cells[col])
+                                  for col in CSV_COLUMNS[2:]})
+                for t, method, cells in rows]
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise _CliError(f"{path}: not a result document: {e}", 2) from e
 
 
 def _cmd_compare(args) -> int:

@@ -10,8 +10,9 @@ transmission, frame processing, queueing) and a frame misses its deadline
 when the sum for some serving base station exceeds the frame period.
 Routing, rendering, propagation and frame processing are fixed by the
 stream and the serving cell (fixed_parts, one formula for single columns
-and for arrays of them); stage1.latency_columns adds the air time of a
-solution's grants and the queueing its arrivals cause.
+and for arrays of them); stage1.latency_columns prices them for all of a
+solution's serving pairs at once, adding the air time of its grants and
+the queueing its arrivals cause (buffer_latency_s, once per cell).
 """
 from __future__ import annotations
 

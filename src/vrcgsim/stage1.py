@@ -24,19 +24,19 @@ in each upgrade round the next rung of the users offered a step. vexa
 hands its context to maximize_qoe on the intermediate solution, so a
 solve builds it once and nothing of it outlives the solve.
 
-A solution's six-part latency columns and each cell's served users are
-derived in one place each (latency_columns, served_users); stage 2's
-input table and stage 3 read them and keep their own decisions.
-verify_stage1 decides throughput and deadlines as array passes over the
-serving pairs, from the same fixed-latency formula (radio.fixed_parts)
-but with its own exact queue, and words only the users they flag.
+A solution's six latency parts per (user, serving cell) pair are one
+table of arrays (latency_columns), built once and kept on the solution:
+verify_stage1, stage 2's input table and stage 3's latency metric read it
+and keep their own decisions. The audit decides throughput and deadlines
+as array passes over its pairs and words only the users they flag. Each
+cell's served users come from served_users.
 """
 from __future__ import annotations
 
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 from operator import itemgetter
 
@@ -70,13 +70,10 @@ class Stage1Solution:
     assoc lists serving cells in the user's preference order; prbs counts
     PRB-TTI grants over the scheduling window; share is the fraction of the
     video stream each serving cell carries (equal split). _memo keeps
-    what later stages derive from this solution alone (stage 2 keeps its
-    input table there, stage 3 its grant layout and each user's fixed
-    latency), so it lives and dies with the timestep's solution. The
-    latency columns those readers start from (latency_columns) are not
-    kept: each reader derives them and keeps only what it decides. vexa
-    leaves its solve context on the solution it hands to maximize_qoe,
-    which takes it off.
+    what is derived from this solution alone (its latency columns, stage
+    2's input table, stage 3's grant layout), so it lives and dies with
+    the timestep's solution. vexa leaves its solve context on the
+    solution it hands to maximize_qoe, which takes it off.
     """
 
     assoc: dict[str, tuple[str, ...]]
@@ -105,47 +102,80 @@ def grant_pool(bs: BaseStation, radio: RadioParams) -> int:
     return bs.usable_prbs * radio.ttis_per_window
 
 
-def latency_columns(
-    sc: Scenario, solution: Stage1Solution
-) -> dict[str, dict[str, tuple[float, float, float, float, float, float]]]:
-    """The six latency parts of every (user, serving cell) pair, by user and cell.
+@dataclass(frozen=True)
+class LatencyColumns:
+    """The six latency parts of a solution's priced (user, serving cell) pairs.
+
+    users maps the priced users, in catalog order, to their rows; row k
+    streams at (resolution, fps) streams[stream[k]] and owns pairs
+    first[k]:first[k+1], its known serving cells in assoc order. rate is
+    each pair's grants times its one-PRB rate. The arrays are read-only.
+    """
+
+    users: dict[str, int]
+    streams: list[tuple]  # distinct (resolution, fps)
+    stream: np.ndarray  # [user]
+    first: np.ndarray  # [user + 1]
+    pairs: list[tuple[str, str]]  # (user, serving cell)
+    rate: np.ndarray  # [pair], b/s
+    parts: np.ndarray  # [routing, render, propagation, transmission, processing, queueing][pair]
+
+
+def latency_columns(sc: Scenario, solution: Stage1Solution) -> LatencyColumns:
+    """The six latency parts of every (user, serving cell) pair, kept on the solution.
 
     Routing, render, propagation, transmission, frame processing and
     queueing, at the user's selections and grants. Queueing reads the
-    frame arrivals of every admitted user at the cell; zero grants take
-    infinite transmission and a saturated queue infinite queueing. Pairs
-    are priced for the admitted users the scenario knows that have a
-    resolution and a frame rate, on the serving cells the scenario knows;
-    selections off the headset's menu are priced like any other.
+    frame arrivals of every admitted user at the cell, a cell listed twice
+    counting twice; zero grants take infinite transmission and a saturated
+    queue infinite queueing. Pairs are priced for the admitted users the
+    scenario knows that have a resolution and a frame rate, on the serving
+    cells the scenario knows; selections off the headset's menu are priced
+    like any other.
     """
-    cells, known = sc._lookup["bs"], sc._lookup["user"]
-    rated = [uid for uid in solution.admitted if uid in known and uid in solution.frame_rate]
-    arrivals = dict.fromkeys(cells, 0.0)
-    for uid in rated:
-        for bid in solution.assoc.get(uid, ()):
-            if bid in arrivals:
-                arrivals[bid] += solution.frame_rate[uid]
-    lt = link_tables(sc)
-    terms = {bid: cell_terms(sc, bs) for bid, bs in cells.items()}
-    out: dict[str, dict[str, tuple[float, float, float, float, float, float]]] = {}
-    for uid in rated:
-        res = solution.resolution.get(uid)
-        if res is None:
-            continue
-        u, fps = known[uid], solution.frame_rate[uid]
-        bits = frame_bits(sc, res)
-        cols = out[uid] = {}
-        for bid in solution.assoc.get(uid, ()):
-            bs = cells.get(bid)
-            if bs is None:
-                continue
-            routing, render, propagation, processing = fixed_parts(
-                sc, *terms[bid], distance(u.position, bs.position), pixels(res), fps)
-            grants = solution.prbs.get((uid, bid), 0)
-            tx = math.inf if grants <= 0 else bits / (grants * lt.se_of(uid, bid))
-            cols[bid] = (routing, render, propagation, tx, processing,
-                         buffer_latency_s(bs, arrivals[bid]))
-    return out
+    def build():
+        cells, known, fps_of = sc._lookup["bs"], sc._lookup["user"], solution.frame_rate
+        arrivals = dict.fromkeys(cells, 0.0)
+        for uid in solution.admitted:
+            if uid in known and uid in fps_of:
+                for bid in solution.assoc.get(uid, ()):
+                    if bid in arrivals:
+                        arrivals[bid] += fps_of[uid]
+        lt = link_tables(sc)
+        users: dict[str, int] = {}
+        streams: dict[tuple, int] = {}  # (res, fps) -> its row in `streams`
+        picks: list[int] = []  # per user: link-table row, stream row
+        pairs: list[tuple[str, str]] = []
+        first = [0]
+        for i, u in enumerate(sc.users):
+            res = solution.resolution.get(u.id)
+            if u.id in solution.admitted and u.id in fps_of and res is not None:
+                users[u.id] = len(users)
+                picks += (i, streams.setdefault((res, fps_of[u.id]), len(streams)))
+                pairs += [(u.id, bid) for bid in solution.assoc.get(u.id, ()) if bid in cells]
+                first.append(len(pairs))
+        user = np.repeat(np.arange(len(users)), np.diff(first))
+        rows, stream = np.array(picks, dtype=np.intp).reshape(-1, 2).T
+        row = rows[user]
+        col = np.fromiter(map(lt.bs_index.__getitem__, map(itemgetter(1), pairs)),
+                          dtype=np.intp, count=len(pairs))
+        terms = np.array([(*cell_terms(sc, b), buffer_latency_s(b, arrivals[b.id]))
+                          for b in sc.base_stations], dtype=float).reshape(-1, 4)[col].T
+        px, fps, bits = np.array([(pixels(res), f, frame_bits(sc, res)) for res, f in streams],
+                                 dtype=float).reshape(-1, 3)[stream[user]].T
+        routing, render, propagation, processing = fixed_parts(
+            sc, *terms[:3], lt.distance_m[row, col], px, fps)
+        grants = np.fromiter(map(solution.prbs.get, pairs, repeat(0)), dtype=float,
+                             count=len(pairs))
+        rate = grants * lt.se_bps[row, col]
+        tx = np.divide(bits, rate, out=np.full(len(pairs), math.inf), where=grants > 0)
+        first = np.array(first, dtype=np.intp)
+        parts = np.array([routing, render, propagation, tx, processing, terms[3]])
+        for array in (stream, first, rate, parts):
+            array.flags.writeable = False
+        return LatencyColumns(users, list(streams), stream, first, pairs, rate, parts)
+
+    return _kept(solution, sc, "latency_columns", build)
 
 
 def served_users(sc: Scenario, solution: Stage1Solution) -> dict[str, list[tuple[int, str]]]:
@@ -626,6 +656,7 @@ def verify_stage1(solution: Stage1Solution, sc: Scenario) -> list[Violation]:
     cells = sc._lookup["bs"]
     n = sc.radio.max_connections
     priced: list[str] = []  # users on the menu with serving cells: their rates are audited
+    offered = dict(solution.resolution)  # the resolutions the audit prices: none off the menu
 
     for uid in sorted(solution.admitted):
         if uid not in known:
@@ -652,6 +683,7 @@ def verify_stage1(solution: Stage1Solution, sc: Scenario) -> list[Violation]:
         res = solution.resolution.get(uid)
         if res not in hs.resolutions:
             out.append(Violation("selection", uid, f"resolution {res} not offered by headset"))
+            offered.pop(uid, None)
         fps = solution.frame_rate.get(uid)
         if fps not in hs.frame_rates:
             out.append(Violation("selection", uid, f"frame rate {fps} not offered by headset"))
@@ -686,97 +718,64 @@ def verify_stage1(solution: Stage1Solution, sc: Scenario) -> list[Violation]:
         if used > pool:
             out.append(Violation("pool", bs.id, f"{used} grants allocated, budget {pool}"))
 
+    if len(offered) < len(solution.resolution):  # one off the menu may not even be numbers
+        solution = replace(solution, resolution=offered)
     return out + _rate_audit(solution, sc, priced)
 
 
 def _rate_audit(solution: Stage1Solution, sc: Scenario, users: list[str]) -> list[Violation]:
-    """Throughput and deadline of every serving pair of `users`, as array passes.
+    """Throughput and deadline of the serving pairs of `users`, as array passes.
 
     Each pair must carry its share of the stream within its grants' rate,
     and each user's slowest serving cell (the first of equals) must meet
-    the deadline, queueing behind the exact frame arrivals of the admitted
-    set. users are known admitted users on the menu, with serving cells,
-    by id; only those the passes flag are worded, user by user.
+    the deadline on the solution's latency columns. users are known
+    admitted users on the menu, with serving cells, by id; one with a cell
+    the scenario does not know is not held to the deadline. Only the users
+    the passes flag are worded, user by user.
     """
     if not users:
         return []
-    lt = link_tables(sc)
-    known = sc._lookup["user"]
-    arrivals = dict.fromkeys(lt.bs_index, 0.0)
-    for uid in solution.admitted:
-        if uid in known and uid in solution.frame_rate:
-            for bid in solution.assoc.get(uid, ()):
-                if bid in arrivals:
-                    arrivals[bid] += solution.frame_rate[uid]
-    cells = np.array(
-        [(*cell_terms(sc, b), buffer_latency_s(b, arrivals[b.id])) for b in sc.base_stations],
-        dtype=float,
-    ).reshape(-1, 4).T
-
-    streams: dict[tuple, int] = {}  # (res, fps) -> row of `stream`
-    stream: list[tuple] = []  # (pixels, fps, frame bits, load, deadline)
-    row: list[int] = []  # per user
-    first = [0]  # per user, its first pair
-    pairs: list[tuple[str, str]] = []
-    for uid in users:
-        res, fps = solution.resolution[uid], solution.frame_rate[uid]
-        k = streams.get((res, fps))
-        if k is None:
-            k = streams[(res, fps)] = len(stream)
-            stream.append((pixels(res), fps, frame_bits(sc, res),
-                           traffic_load_bps(sc, 1.0, res, fps),
-                           sc.radio.deadline_for(fps) + 1e-12))
-        row.append(k)
-        pairs += zip(repeat(uid), solution.assoc[uid])
-        first.append(len(pairs))
-    at = np.array(first[:-1])
-    user = np.repeat(np.arange(len(users)), np.diff(first))
-    px, fps, bits, load, deadline = np.array(stream, dtype=float)[row].T
-    px, fps, bits, load = px[user], fps[user], bits[user], load[user]
-    rows = np.fromiter(map(lt.user_index.__getitem__, map(itemgetter(0), pairs)),
-                       dtype=np.intp, count=len(pairs))
-    cols = np.fromiter(map(lt.bs_index.get, map(itemgetter(1), pairs), repeat(-1)),
-                       dtype=np.intp, count=len(pairs))
-    share = np.fromiter(map(solution.share.get, pairs, repeat(0.0)), dtype=float, count=len(pairs))
-    grants = np.fromiter(map(solution.prbs.get, pairs, repeat(0)), dtype=float, count=len(pairs))
-    stray = cols < 0  # a cell the scenario does not know
-    cols[stray] = 0
-    se = lt.se_bps[rows, cols]
-
-    carried = share * load
-    rate = grants * se
-    short = ~stray & (carried > rate * (1 + _REL_TOL) + 1e-9)
-
-    routing, render, propagation, processing = fixed_parts(
-        sc, *cells[:3, cols], lt.distance_m[rows, cols], px, fps)
-    tx = np.full(len(pairs), math.inf)
-    sent = (grants > 0) & ~stray
-    tx[sent] = bits[sent] / (grants[sent] * se[sent])
-    total = routing + render + propagation + tx + processing + cells[3, cols]
-    strays = np.logical_or.reduceat(stray, at)
-    late = ~strays & (np.maximum.reduceat(total, at) > deadline)
+    table = latency_columns(sc, solution)
+    rows = [table.users[uid] for uid in users]
+    n = len(table.users)
+    load, deadline = np.zeros((2, n))  # only the rows of `users` are read
+    for k in set(table.stream[rows].tolist()):  # the streams of `users`
+        res, fps = table.streams[k]
+        at = table.stream == k
+        load[at], deadline[at] = traffic_load_bps(sc, 1.0, res, fps), sc.radio.deadline_for(fps)
+    deadline += 1e-12
+    user = np.repeat(np.arange(n), np.diff(table.first))
+    share = np.fromiter(map(solution.share.get, table.pairs, repeat(0.0)), dtype=float,
+                        count=len(user))
+    carried, rate = share * load[user], table.rate
+    short = carried > rate * (1 + _REL_TOL) + 1e-9
+    total = sum(table.parts)
+    hit = np.bincount(user, weights=short | (total > deadline[user]), minlength=n) > 0
+    # a user with fewer pairs than serving cells has one the scenario does not know
+    stray = np.diff(table.first)[rows] < [len(solution.assoc[uid]) for uid in users]
+    first, cells = table.first.tolist(), sc._lookup["bs"]
 
     out: list[Violation] = []
-    flagged = late | strays | np.logical_or.reduceat(short, at)
-    for k in np.flatnonzero(flagged).tolist():
-        uid = users[k]
-        lo, hi = first[k], first[k + 1]
-        for p in range(lo, hi):
-            bid = pairs[p][1]
-            if stray[p]:
+    for i in np.flatnonzero(stray | hit[rows]).tolist():
+        uid, k = users[i], rows[i]
+        p = first[k]
+        for bid in solution.assoc[uid]:
+            if bid not in cells:
                 out.append(Violation("association-bounds", uid, f"unknown cell {bid}"))
-            elif short[p]:
+                continue
+            if short[p]:
                 out.append(Violation(
                     "throughput", f"{uid}/{bid}",
                     f"carries {float(carried[p]):.1f} b/s over capacity {float(rate[p]):.1f} b/s",
                 ))
-        if late[k]:
-            totals = total[lo:hi].tolist()
-            worst = max(totals)
-            limit = sc.radio.deadline_for(solution.frame_rate[uid])
-            out.append(Violation(
-                "deadline", uid,
-                f"latency {worst * 1e3:.3f} ms over {limit * 1e3:.3f} ms"
-                f" (binding cell {pairs[lo + totals.index(worst)][1]})",
-            ))
+            p += 1
+        totals = total[first[k]:p].tolist()
+        if stray[i] or (worst := max(totals)) <= deadline[k]:
+            continue
+        limit = sc.radio.deadline_for(solution.frame_rate[uid])
+        out.append(Violation(
+            "deadline", uid,
+            f"latency {worst * 1e3:.3f} ms over {limit * 1e3:.3f} ms"
+            f" (binding cell {solution.assoc[uid][totals.index(worst)]})",
+        ))
     return out

@@ -10,7 +10,8 @@ total_cost and the oracle read stage 1 through one Stage2Inputs table per
 timestep, kept on the stage-1 solution (stage2_inputs): each user's
 DemandProfile, the resource vector that zips with ComputeNode.caps, and
 each latency column less its routing share, to which a candidate adds its
-own route latency. The columns are summed from stage1.latency_columns.
+own route latency. The columns are summed from the stage-1 solution's one
+kept table of latency parts (stage1.latency_columns).
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from .scenario import ComputeNode, Scenario, pixels
 from .stage1 import Stage1Solution, Violation, _kept, latency_columns
 
 _REL_TOL = 1e-9
+_PENALTY_WEIGHTS = (4.0, 4.0)  # baseline_unconstrained's (overflow, lateness) weights
 
 
 class DemandProfile(NamedTuple):
@@ -105,17 +107,17 @@ def stage1_columns(
 ) -> dict[tuple[str, str], tuple[float, float]]:
     """Per serving cell: (six-part column latency, its routing share).
 
-    Swapping the engine to another node changes only the routing share, so
-    callers can test a candidate as column - routing + new_route.
+    Read off stage1.latency_columns. Swapping the engine to another node
+    changes only the routing share, so callers can test a candidate as
+    column - routing + new_route. KeyError names an admitted user the
+    columns leave out, or a serving cell the scenario does not know.
     """
-    columns = latency_columns(sc, stage1)
-    out: dict[tuple[str, str], tuple[float, float]] = {}
+    table = latency_columns(sc, stage1)
+    out = dict(zip(table.pairs, zip(sum(table.parts).tolist(), table.parts[0].tolist())))
     for uid in stage1.admitted:
         for bid in stage1.assoc[uid]:
-            routing, render, propagation, tx, processing, queueing = columns[uid][bid]
-            out[(uid, bid)] = (
-                routing + render + propagation + tx + processing + queueing, routing
-            )
+            if (uid, bid) not in out:
+                raise KeyError(uid if uid not in table.users else bid)
     return out
 
 
@@ -355,21 +357,19 @@ def baseline_unconstrained(
     sc: Scenario,
     stage1: Stage1Solution,
     prev_placement: dict[str, str] | None = None,
-    penalty_weights: tuple[float, float] = (4.0, 4.0),
 ) -> Stage2Solution:
     """Penalty-priced placement: overflow and lateness cost, never forbid.
 
-    Each user takes the node minimizing money cost plus weighted violation
+    Each user takes the node minimizing money cost plus violation
     magnitudes (relative resource and link overflow, relative deadline
-    excess), routing the whole flow over the fastest route per cell. The
-    output may fail verification; that is the point of the comparison.
+    excess) weighted by _PENALTY_WEIGHTS, routing the whole flow over the
+    fastest route per cell. The output may fail verification; that is the
+    point of the comparison.
     Placement is re-optimized from scratch each call: relocation charges
     show up on the bill afterwards but never steer the argmin, which is
     what makes this baseline expensive to run over a mobility trace.
     """
-    w_cap, w_lat = penalty_weights
-    if w_cap < 0 or w_lat < 0:
-        raise ValueError("penalty weights must be non-negative")
+    w_cap, w_lat = _PENALTY_WEIGHTS
     inputs = stage2_inputs(sc, stage1)
     ledger = _Ledger(sc)
     order = sorted(stage1.admitted, key=lambda uid: (-inputs.demand[uid].gpu, uid))

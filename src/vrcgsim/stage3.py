@@ -19,9 +19,10 @@ cell's users from stage1.served_users.
 
 mtp_latency and verify_stage3 read a schedule through flat_schedule, its
 grants as arrays, and each user's scene load, both built at most once per
-solution, and mtp_latency reads the fixed latency parts from
-stage1.latency_columns; amps and mtpsched come with the layout's flat
-grants already in place. verify_stage3 decides each schedule rule once,
+solution; amps and mtpsched come with the layout's flat grants already in
+place. mtp_latency takes each user's fixed latency parts at its worst
+serving cell by one reduce over the stage-1 solution's kept latency table
+(stage1.latency_columns). verify_stage3 decides each schedule rule once,
 as array passes over those grants, and words only what they find, as a
 grant-by-grant audit would.
 """
@@ -601,9 +602,21 @@ def mtp_latency(
     ptr = np.searchsorted(slot, np.arange(len(users)) * span)  # each user's TTIs
     end = np.searchsorted(slot, np.arange(1, len(users) + 1) * span)
 
-    # each user's frame stream and the fixed parts of its latency; those
-    # read stage 1 alone, so they are priced once per stage-1 solution
-    fixed = _kept(stage1, sc, "mtp_fixed", lambda: _worst_fixed(sc, stage1, users))
+    # each user's frame stream and the fixed parts of its latency at its
+    # worst serving cell
+    table = latency_columns(sc, stage1)
+    ids = [u.id for u in users]
+    counts = [len(stage1.assoc[uid]) for uid in ids]
+    if list(table.users) != ids or np.diff(table.first).tolist() != counts or 0 in counts:
+        priced = set(table.pairs)
+        for uid in ids:  # name the first user, or serving cell, the columns leave out
+            if not stage1.assoc[uid]:
+                raise ValueError(f"admitted user {uid} has no serving cell")
+            for bid in stage1.assoc[uid]:
+                if (uid, bid) not in priced:
+                    raise KeyError(uid if uid not in table.users else bid)
+    routing, render, propagation, _, processing, _ = table.parts
+    fixed = np.maximum.reduceat(routing + render + propagation + processing, table.first[:-1])
     fps_of = [stage1.frame_rate[u.id] for u in users]
     scene = _scene_loads(solution, sc, stage1)
     if np.isnan(scene).any():  # an object has no resolution: raise as objects_load does
@@ -688,21 +701,6 @@ def _scene_loads(solution: Stage3Solution, sc: Scenario, stage1: Stage1Solution)
         return scene
 
     return _kept(solution, sc, "scene", build)
-
-
-def _worst_fixed(sc: Scenario, stage1: Stage1Solution, users) -> np.ndarray:
-    """Each user's fixed latency parts at its worst serving cell, read-only."""
-    columns = latency_columns(sc, stage1)
-    fixed = np.array([
-        max(
-            routing + render + propagation + processing
-            for routing, render, propagation, _, processing, _
-            in (columns[u.id][bid] for bid in stage1.assoc[u.id])
-        )
-        for u in users
-    ])
-    fixed.flags.writeable = False
-    return fixed
 
 
 # ---------------------------------------------------------------------------

@@ -6,18 +6,27 @@ distance loop and sort, sizes a column one scalar call at a time and then
 checks its deadline in a second pass, and finds a full cell's holders by
 scanning every placement. The upgrade pass offers every admitted user a
 step in every round until a round changes nothing, and the audit prices
-each serving pair's six latency parts from `stage1.latency_columns` and
-checks them user by user. `patched` swaps it into the solvers in place of
-`_Ctx`, `_try_place`, `maximize_qoe` and `verify_stage1`.
+each serving pair's six latency parts one pair at a time (`latency_columns`,
+the reference for `stage1.latency_columns`) and checks them user by user.
+`patched` swaps it into the solvers in place of `_Ctx`, `_try_place`,
+`maximize_qoe` and `verify_stage1`.
 """
 import contextlib
 import math
 from dataclasses import replace
 
 from vrcgsim import stage1
-from vrcgsim.radio import fixed_latency_s, frame_bits, link_tables, traffic_load_bps
-from vrcgsim.scenario import Scenario, distance
-from vrcgsim.stage1 import Stage1Solution, Violation, latency_columns
+from vrcgsim.radio import (
+    buffer_latency_s,
+    cell_terms,
+    fixed_latency_s,
+    fixed_parts,
+    frame_bits,
+    link_tables,
+    traffic_load_bps,
+)
+from vrcgsim.scenario import Scenario, distance, pixels
+from vrcgsim.stage1 import Stage1Solution, Violation
 
 
 class ScalarCtx:
@@ -191,6 +200,49 @@ def maximize_qoe(solution: Stage1Solution, sc: Scenario) -> Stage1Solution:
             if try_upgrade(ctx, st, uid):
                 changed = True
     return st.to_solution()
+
+
+def latency_columns(
+    sc: Scenario, solution: Stage1Solution
+) -> dict[str, dict[str, tuple[float, float, float, float, float, float]]]:
+    """The six latency parts of every (user, serving cell) pair, by user and cell.
+
+    Routing, render, propagation, transmission, frame processing and
+    queueing, at the user's selections and grants. Queueing reads the
+    frame arrivals of every admitted user at the cell; zero grants take
+    infinite transmission and a saturated queue infinite queueing. Pairs
+    are priced for the admitted users the scenario knows that have a
+    resolution and a frame rate, on the serving cells the scenario knows;
+    selections off the headset's menu are priced like any other.
+    """
+    cells, known = sc._lookup["bs"], sc._lookup["user"]
+    rated = [uid for uid in solution.admitted if uid in known and uid in solution.frame_rate]
+    arrivals = dict.fromkeys(cells, 0.0)
+    for uid in rated:
+        for bid in solution.assoc.get(uid, ()):
+            if bid in arrivals:
+                arrivals[bid] += solution.frame_rate[uid]
+    lt = link_tables(sc)
+    terms = {bid: cell_terms(sc, bs) for bid, bs in cells.items()}
+    out: dict[str, dict[str, tuple[float, float, float, float, float, float]]] = {}
+    for uid in rated:
+        res = solution.resolution.get(uid)
+        if res is None:
+            continue
+        u, fps = known[uid], solution.frame_rate[uid]
+        bits = frame_bits(sc, res)
+        cols = out[uid] = {}
+        for bid in solution.assoc.get(uid, ()):
+            bs = cells.get(bid)
+            if bs is None:
+                continue
+            routing, render, propagation, processing = fixed_parts(
+                sc, *terms[bid], distance(u.position, bs.position), pixels(res), fps)
+            grants = solution.prbs.get((uid, bid), 0)
+            tx = math.inf if grants <= 0 else bits / (grants * lt.se_of(uid, bid))
+            cols[bid] = (routing, render, propagation, tx, processing,
+                         buffer_latency_s(bs, arrivals[bid]))
+    return out
 
 
 def verify_stage1(solution: Stage1Solution, sc: Scenario) -> list[Violation]:

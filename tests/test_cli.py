@@ -133,6 +133,28 @@ def test_compare_reports_gaps(tmp_path, capsys):
     assert all(line.rsplit(",", 1)[1] == "0" for line in lines[1:])
 
 
+@pytest.mark.parametrize("fmt,column", [("csv", 0), ("csv", 2), ("json", 2)])
+def test_compare_refuses_a_value_that_is_not_a_number(tmp_path, capsys, fmt, column):
+    """A timestep or cell that is not a number is an invalid file: exit 2
+    naming it, before anything is printed."""
+    good, bad = tmp_path / "good.csv", tmp_path / f"bad.{fmt}"
+    assert main(["run", *RUN, "--methods", "vexa", "--out", str(good)]) == 0
+    assert main(["run", *RUN, "--methods", "vexa", "--format", fmt, "--out", str(bad)]) == 0
+    if fmt == "json":
+        doc = json.loads(bad.read_text())
+        doc["reports"][0]["methods"]["vexa"][CSV_COLUMNS[column]] = "x"
+        bad.write_text(json.dumps(doc))
+    else:
+        head, row, *rest = bad.read_text().splitlines()
+        cells = row.split(",")
+        cells[column] = "x"
+        bad.write_text("\n".join([head, ",".join(cells), *rest]) + "\n")
+    capsys.readouterr()
+    assert main(["compare", str(good), str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and str(bad) in err
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", *RUN, "--methods", "vexa,bogus"]) == 2
     assert main(["run", str(tmp_path / "missing.json")]) == 2

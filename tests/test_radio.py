@@ -215,8 +215,9 @@ def alone(u, grants, res=(960, 1080), fps=72):
 def test_latency_breakdown_components(sc):
     u, b = sc.users[0], sc.base_stations[0]
     res, fps = (960, 1080), 72
-    cols = latency_columns(sc, alone(u, {b.id: 100}, res, fps))
-    routing, render, propagation, tx, processing, queueing = cols[u.id][b.id]
+    table = latency_columns(sc, alone(u, {b.id: 100}, res, fps))
+    assert table.parts.shape == (6, 1) and not table.parts.flags.writeable
+    routing, render, propagation, tx, processing, queueing = table.parts[:, 0]
     bits = frame_bits(sc, res)
     assert tx == pytest.approx(bits / throughput_bps(sc, u, b, 100))
     assert processing == pytest.approx(bits / b.processing_capacity_bps)
@@ -232,7 +233,7 @@ def test_latency_breakdown_takes_worst_bs(sc):
     hs = sc.headset_of(u)
     ids = tuple(b.id for b in sc.base_stations[:2])
     sol = alone(u, {ids[0]: 100, ids[1]: 1}, hs.resolutions[0], hs.frame_rates[0])
-    totals = [sum(parts) for parts in latency_columns(sc, sol)[u.id].values()]
+    totals = sum(latency_columns(sc, sol).parts).tolist()
     assert totals[1] > totals[0]
     (late,) = [v for v in verify_stage1(sol, sc) if v.kind == "deadline"]
     assert late.detail.startswith(f"latency {totals[1] * 1e3:.3f} ms")
@@ -241,16 +242,16 @@ def test_latency_breakdown_takes_worst_bs(sc):
 
 def test_latency_breakdown_zero_grants_is_infinite(sc):
     u, b = sc.users[0], sc.base_stations[0]
-    parts = latency_columns(sc, alone(u, {b.id: 0}))[u.id][b.id]
+    parts = latency_columns(sc, alone(u, {b.id: 0})).parts[:, 0]
     assert parts[3] == math.inf
     # arrivals at the frame capacity leave the queue no slack
     full = alone(u, {b.id: 50}, fps=int(b.frame_capacity_fps))
-    assert latency_columns(sc, full)[u.id][b.id][5] == math.inf
+    assert latency_columns(sc, full).parts[5, 0] == math.inf
 
 
 def test_propagation_is_distance_over_c(sc):
     u, b = sc.users[0], sc.base_stations[0]
-    parts = latency_columns(sc, alone(u, {b.id: 50}))[u.id][b.id]
+    parts = latency_columns(sc, alone(u, {b.id: 50})).parts[:, 0]
     assert parts[2] == pytest.approx(
         distance(u.position, b.position) / sc.radio.speed_of_light_mps
     )

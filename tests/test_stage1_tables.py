@@ -65,6 +65,18 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def by_user(sc, sol):
+    """stage1.latency_columns read back as the reference's parts by user and cell."""
+    table, cells = stage1.latency_columns(sc, sol), sc._lookup["bs"]
+    parts = table.parts.T.tolist()
+    out = {}
+    for uid, k in table.users.items():
+        serving = [bid for bid in sol.assoc.get(uid, ()) if bid in cells]
+        assert len(serving) == table.first[k + 1] - table.first[k]
+        out[uid] = {bid: tuple(parts[p]) for p, bid in enumerate(serving, table.first[k])}
+    return out
+
+
 @contextlib.contextmanager
 def no_upgrades():
     """vexa stops at admission: its upgrade pass hands the solution back."""
@@ -307,6 +319,7 @@ def doctored_solutions(draw):
 def test_audit_matches_the_reference(case):
     sc, sol = case
     assert outcome(verify_stage1, sol, sc) == outcome(ref.verify_stage1, sol, sc)
+    assert outcome(by_user, sc, sol) == outcome(ref.latency_columns, sc, sol)
 
 
 def test_rank_is_a_read_only_int8_table():

@@ -247,14 +247,14 @@ def test_columns_match_reference_latency():
                             overrides={"max_connections": 1})
     s1 = vexa(sc)
     cols = stage1_columns(sc, s1)
-    parts = latency_columns(sc, s1)
+    table = latency_columns(sc, s1)
     arrivals = {b.id: 0.0 for b in sc.base_stations}
     for uid in s1.admitted:
         for bid in s1.assoc[uid]:
             arrivals[bid] += s1.frame_rate[uid]
     for uid in s1.admitted:
         (bid,) = s1.assoc[uid]
-        ref = parts[uid][bid]
+        ref = table.parts[:, table.first[table.users[uid]]].tolist()
         assert ref[5] == buffer_latency_s(sc.bs(bid), arrivals[bid])
         assert cols[(uid, bid)][0] == pytest.approx(sum(ref), rel=1e-12)
         assert cols[(uid, bid)][1] == ref[0]
@@ -272,16 +272,18 @@ def test_gepar_never_costs_more_than_single_path():
                 <= total_cost(single, sc, s1).total + 1e-9)
 
 
-def test_unconstrained_zero_weights_packs_cheapest_node():
+def test_unconstrained_zero_weights_packs_cheapest_node(monkeypatch):
+    monkeypatch.setattr(stage2, "_PENALTY_WEIGHTS", (0.0, 0.0))
     sc = generate_synthetic(seed=7, n_users=30, n_bs=4, n_cns=6)
     s1 = vexa(sc)
-    sol = baseline_unconstrained(sc, s1, penalty_weights=(0.0, 0.0))
+    sol = baseline_unconstrained(sc, s1)
     assert len(sol.active_cns) == 1
     (cid,) = sol.active_cns
     assert sc.cn(cid).tier == "cloud"
 
 
-def test_unconstrained_prices_but_allows_violations():
+def test_unconstrained_prices_but_allows_violations(monkeypatch):
+    monkeypatch.setattr(stage2, "_PENALTY_WEIGHTS", (4.0, 4.0))
     sc = make_scenario(
         users=[
             {"id": f"u{i}", "position": [1000.0 + i, 1000.0], "game": "gq"}
@@ -292,7 +294,7 @@ def test_unconstrained_prices_but_allows_violations():
                         "gpu_cap": 1e8}],  # room for one engine, not three
     )
     s1 = vexa(sc)
-    priced = baseline_unconstrained(sc, s1, penalty_weights=(4.0, 4.0))
+    priced = baseline_unconstrained(sc, s1)
     assert len(priced.placement) == 3  # everyone placed regardless
     assert any(v.kind == "capacity" for v in verify_stage2(priced, sc, s1))
     # gepar on the same instance refuses to overload instead
@@ -301,10 +303,11 @@ def test_unconstrained_prices_but_allows_violations():
     assert verify_stage2(strict, sc, s1) == []
 
 
-def test_unconstrained_with_room_stays_clean():
+def test_unconstrained_with_room_stays_clean(monkeypatch):
+    monkeypatch.setattr(stage2, "_PENALTY_WEIGHTS", (1e9, 1e9))
     sc = generate_synthetic(seed=11, n_users=40, n_bs=4, n_cns=6)
     s1 = vexa(sc)
-    sol = baseline_unconstrained(sc, s1, penalty_weights=(1e9, 1e9))
+    sol = baseline_unconstrained(sc, s1)
     assert verify_stage2(sol, sc, s1) == []
 
 

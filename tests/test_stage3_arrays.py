@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import scalar_stage3 as ref
 from helpers import make_scenario
-from vrcgsim import stage3
+from vrcgsim import stage1, stage3
 from vrcgsim.metrics import run_experiment
 from vrcgsim.radio import link_tables
 from vrcgsim.scenario import generate_synthetic
@@ -232,16 +232,16 @@ def test_seeded_flat_grants_equal_a_rebuild():
 
 
 def test_fixed_latency_is_priced_once_per_timestep(monkeypatch):
-    """mtp_latency derives one stage-1 solution's columns once."""
-    calls = []
-    derive = stage3.latency_columns
-    monkeypatch.setattr(stage3, "latency_columns", lambda *a: calls.append(a) or derive(*a))
+    """A timestep's audit, placement and latency metric read one latency
+    table, so each cell's queue is priced once per stage-1 solution."""
+    queued = []
+    queue = stage1.buffer_latency_s
+    monkeypatch.setattr(stage1, "buffer_latency_s",
+                        lambda bs, fps: queued.append(bs.id) or queue(bs, fps))
     sc = generate_synthetic(seed=4, n_users=60, n_bs=3, n_cns=4)
-    s1 = vexa(sc)
-    first = mtp_latency(amps(sc, s1), sc, s1)
-    again = mtp_latency(mtpsched(sc, s1), sc, s1)
-    assert calls == [(sc, s1)]
-    assert first.average_s.keys() == again.average_s.keys()
+    (report,) = run_experiment(sc, ["vexa", "gepar", "amps", "mtpsched"])
+    assert queued == [b.id for b in sc.base_stations]
+    assert report.methods["amps"].avg_mtp_s > 0 and report.methods["mtpsched"].avg_mtp_s > 0
 
 
 def test_scene_loads_are_priced_once_per_solution(monkeypatch):
