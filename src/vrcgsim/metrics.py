@@ -293,7 +293,8 @@ def run_experiment(
             if spec.stage == 2:
                 prev[m] = dict(sol.placement)
             rows[m] = row
-            solutions[m] = sol
+            if collect_solutions:  # otherwise each solution is freed once the next is solved
+                solutions[m] = sol
         reports.append(MetricsReport(timestep=t, methods=rows))
     if collect_solutions:
         return reports, solutions
@@ -465,8 +466,21 @@ def verify_document(sc: Scenario, doc: dict) -> dict[str, list[Violation]]:
 
     The same exemptions apply as during a run: cyclic schedulers are not
     held to grant totals, and the unconstrained baseline only answers for
-    structural placement and routing problems.
+    structural placement and routing problems. When the stage1 entry has
+    findings, a later stage that cannot be read against it gets one
+    not-checked finding instead.
     """
     sols = doc_to_solutions(doc)
     stage1 = sols.get("stage1")
-    return {name: _violations(name, sol, sc, stage1) for name, sol in sols.items()}
+    found = {"stage1": verify_stage1(stage1, sc)} if stage1 is not None else {}
+    for name, sol in sols.items():
+        if name in found:
+            continue
+        try:
+            found[name] = _violations(name, sol, sc, stage1)
+        except (KeyError, TypeError, ValueError):
+            if not found.get("stage1") or isinstance(sol, Stage1Solution):
+                raise
+            found[name] = [Violation("not-checked", name,
+                                     "cannot be read against the faulty stage1 entry")]
+    return found

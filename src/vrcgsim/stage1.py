@@ -5,9 +5,11 @@ asks each candidate base station for enough PRB grants to carry that
 stream. A grant is one PRB for one TTI; a base station's budget over the
 scheduling window is usable_prbs * ttis_per_window. Users hold preference
 lists sorted by SINR and can displace worse-placed incumbents when a cell
-is full. Users that no single cell can carry retry with their demand split
-across two, then three cells (equal share per serving cell, up to the
-configured connection cap).
+is full. Each cell keeps its holders in eviction order (worst rank first,
+later-generated user first among equals), so a displacement plan reads
+the tail of that list. Users that no single cell can carry retry with
+their demand split across two, then three cells (equal share per serving
+cell, up to the configured connection cap).
 
 A second phase (maximize_qoe) then walks admitted users most-dissatisfied
 first and raises resolution (quality players) or frame rate (performance
@@ -35,9 +37,10 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -357,7 +360,10 @@ class _Ctx:
 class _State:
     """Mutable allocation while solving.
 
-    holders buckets each cell's users by the cell's rank in their lists.
+    holders lists each cell's users as (rank of the cell in their list,
+    catalog row, uid), kept sorted, so the eviction order is fixed where a
+    user is added: read backwards, the tail past a rank runs worst rank
+    first and, among equals, later-generated user first.
     """
 
     def __init__(self, ctx: _Ctx):
@@ -367,24 +373,25 @@ class _State:
         self.fps: dict[str, int] = {}
         self.used = {bid: 0 for bid in ctx.pool}
         self.arrivals = {bid: 0.0 for bid in ctx.pool}
-        self.holders: dict[str, dict[int, set[str]]] = {bid: {} for bid in ctx.pool}
+        self.holders: dict[str, list[tuple[int, int, str]]] = {bid: [] for bid in ctx.pool}
 
     def add(self, uid: str, placements: dict[str, int], res, fps):
         self.place[uid] = placements
         self.res[uid] = res
         self.fps[uid] = fps
-        rank = self.ctx.rank[uid]
+        rank, row = self.ctx.rank[uid], self.ctx.lt.user_index[uid]
         for bid, g in placements.items():
             self.used[bid] += g
             self.arrivals[bid] += fps
-            self.holders[bid].setdefault(rank.get(bid, -1), set()).add(uid)
+            insort(self.holders[bid], (rank.get(bid, -1), row, uid))
 
     def remove(self, uid: str):
-        rank = self.ctx.rank[uid]
+        rank, row = self.ctx.rank[uid], self.ctx.lt.user_index[uid]
         for bid, g in self.place.pop(uid).items():
             self.used[bid] -= g
             self.arrivals[bid] -= self.fps[uid]
-            self.holders[bid][rank.get(bid, -1)].remove(uid)
+            held = self.holders[bid]
+            del held[bisect_left(held, (rank.get(bid, -1), row, uid))]
         del self.res[uid]
         del self.fps[uid]
 
@@ -418,54 +425,39 @@ def _try_place(ctx: _Ctx, st: _State, uid: str, parts: int) -> list[str] | None:
     Nothing is committed unless all `parts` cells are secured, so a failed
     attempt leaves the allocation untouched. Displacement follows strict
     preference: the candidate must rank a cell higher in its own list than
-    the incumbent does in its own, and the worst-placed incumbent goes
-    first (ties broken toward the later-generated user).
+    the incumbent does in its own, and incumbents go in the order the
+    cell's holder list keeps (worst-placed first, ties broken toward the
+    later-generated user). A cell has room when its pool and queue left,
+    plus what the planned evictions give back there, cover the ask.
     """
     sc = ctx.sc
     hs = sc.headset_of(sc.user(uid))
     res, fps = hs.resolutions[0], hs.frame_rates[0]
-    index = ctx.lt.user_index
     chosen: dict[str, int] = {}
     evicted: dict[str, None] = {}  # in eviction order
-    freed_pool = dict.fromkeys(ctx.pool, 0)
-    freed_arr = dict.fromkeys(ctx.pool, 0.0)
-
-    def fits(bid: str, ask: int) -> bool:
-        return (ask <= ctx.pool[bid] - st.used[bid] + freed_pool[bid]
-                and fps <= 0.5 * ctx.cap[bid] - st.arrivals[bid] + freed_arr[bid])
-
     for my_rank, (bid, ask) in enumerate(zip(ctx.rank[uid], ctx.demand(uid, parts))):
         if len(chosen) == parts:
             break
         if ask is None:
             continue
-        if fits(bid, ask):
-            chosen[bid] = ask
-            continue
-        # cell is full: plan displacements among strictly worse-placed users
-        buckets = st.holders[bid]
-        incumbents = (
-            v
-            for r in sorted(buckets, reverse=True) if r > my_rank
-            for v in sorted(buckets[r], key=index.__getitem__, reverse=True)
-            if v not in evicted
-        )
-        snap_pool = dict(freed_pool)
-        snap_arr = dict(freed_arr)
-        picked: list[str] = []
-        for v in incumbents:
-            picked.append(v)
-            for vb, g in st.place[v].items():
-                freed_pool[vb] += g
-                freed_arr[vb] += st.fps[v]
-            if fits(bid, ask):
-                break
-        if fits(bid, ask):
+        grants, frames = ctx.pool[bid] - st.used[bid], 0.5 * ctx.cap[bid] - st.arrivals[bid]
+        # what the planned evictions give back at bid
+        back = sum(st.place[v].get(bid, 0) for v in evicted)
+        back_fps = sum(st.fps[v] for v in evicted if bid in st.place[v])
+        if ask > grants + back or fps > frames + back_fps:
+            # cell is full: plan displacements among strictly worse-placed users
+            held, picked = st.holders[bid], []
+            for _, _, v in islice(reversed(held), len(held) - bisect_left(held, (my_rank + 1,))):
+                if v not in evicted:
+                    picked.append(v)
+                    back += st.place[v][bid]
+                    back_fps += st.fps[v]
+                    if ask <= grants + back and fps <= frames + back_fps:
+                        break
+            else:
+                continue  # not even every allowed eviction makes room
             evicted.update(dict.fromkeys(picked))
-            chosen[bid] = ask
-        else:
-            freed_pool.update(snap_pool)
-            freed_arr.update(snap_arr)
+        chosen[bid] = ask
 
     if len(chosen) < parts:
         return None
@@ -490,7 +482,7 @@ def vexa(sc: Scenario, max_connections: int | None = None) -> Stage1Solution:
     for parts in range(1, n + 1):
         queue = deque(remaining)
         failed: list[str] = []
-        requeues = {uid: 0 for uid in remaining}
+        requeues: dict[str, int] = {}
         while queue:
             uid = queue.popleft()
             displaced = _try_place(ctx, st, uid, parts)
@@ -628,8 +620,8 @@ def maximize_qoe(solution: Stage1Solution, sc: Scenario) -> Stage1Solution:
             del offer[uid]
             ahead.append(uid)
             for bid in freed:
-                for holders in st.holders[bid].values():
-                    for v in holders & waiting:
+                for _, _, v in st.holders[bid]:
+                    if v in waiting:
                         waiting.discard(v)
                         if key[v] > here:  # still ahead in this round
                             heapq.heappush(heap, (key[v], v))
@@ -699,7 +691,9 @@ def verify_stage1(solution: Stage1Solution, sc: Scenario) -> list[Violation]:
         if uid not in solution.admitted:
             out.append(Violation("exclusivity", uid, "association entry for unadmitted user"))
 
+    granted: dict[str, int] = {}  # per cell, for the pool check
     for (uid, bid), g in solution.prbs.items():
+        granted[bid] = granted.get(bid, 0) + g
         if g <= 0:
             out.append(Violation("exclusivity", f"{uid}/{bid}", "non-positive grant entry"))
         if uid not in solution.admitted or bid not in solution.assoc.get(uid, ()):
@@ -708,10 +702,6 @@ def verify_stage1(solution: Stage1Solution, sc: Scenario) -> list[Violation]:
         for bid in solution.assoc.get(uid, ()):
             if solution.prbs.get((uid, bid), 0) <= 0:
                 out.append(Violation("exclusivity", f"{uid}/{bid}", "serving cell has no grants"))
-
-    granted: dict[str, int] = {}
-    for (_, bid), g in solution.prbs.items():
-        granted[bid] = granted.get(bid, 0) + g
     for bs in sc.base_stations:
         used = granted.get(bs.id, 0)
         pool = grant_pool(bs, sc.radio)

@@ -120,6 +120,40 @@ def test_verify_rejects_a_resolution_that_is_not_two_integers(tmp_path, capsys, 
     assert f"'vexa': resolution {resolution!r} of user {uid} is not two integers" in err
 
 
+def _unknown_cell(entry, uid):
+    entry["assoc"][uid] = ["bs9"]
+    return f"stage1: association-bounds {uid}: unknown cell bs9"
+
+
+def _unknown_user(entry, uid):
+    entry["assoc"]["u999"] = entry["assoc"][uid]
+    return "stage1: unknown-user u999: admitted id not in scenario"
+
+
+def _no_frame_rate(entry, uid):
+    del entry["frame_rate"][uid]
+    return f"stage1: selection {uid}: frame rate None not offered by headset"
+
+
+@pytest.mark.parametrize("doctor", [_unknown_cell, _unknown_user, _no_frame_rate])
+def test_verify_words_a_stage1_fault_the_later_stages_cannot_be_read_against(
+        tmp_path, capsys, doctor):
+    sc_path = tmp_path / "sc.json"
+    sols = tmp_path / "sols.json"
+    main(["generate", *RUN, "--out", str(sc_path)])
+    main(["run", str(sc_path), "--methods", "vexa,gepar,amps",
+          "--out", str(tmp_path / "r.csv"), "--solutions", str(sols)])
+    doc = json.loads(sols.read_text())
+    entry = doc["solutions"]["stage1"]
+    words = doctor(entry, min(entry["assoc"]))
+    sols.write_text(json.dumps(doc))
+    assert main(["verify", str(sc_path), str(sols)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert words in out
+    assert "gepar: not-checked gepar: cannot be read against the faulty stage1 entry" in out
+    assert "vexa: ok" in out
+
+
 def test_compare_reports_gaps(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.json"
     assert main(["run", *RUN, "--methods", "vexa,sa", "--out", str(a)]) == 0

@@ -88,6 +88,29 @@ def no_upgrades():
         stage1.maximize_qoe = saved
 
 
+@contextlib.contextmanager
+def holders_checked():
+    """After each placement attempt, every cell's holder list must be the
+    sorted (rank of the cell, catalog row, uid) of the users placed there."""
+    saved = stage1._try_place
+
+    def checked(ctx, st, uid, parts):
+        displaced = saved(ctx, st, uid, parts)
+        rank, row = ctx.lt.rank.tolist(), ctx.lt.user_index
+        placed = {bid: [] for bid in st.holders}
+        for v, cells in st.place.items():
+            for bid in cells:
+                placed[bid].append((rank[row[v]][ctx.lt.bs_index[bid]], row[v], v))
+        assert st.holders == {bid: sorted(held) for bid, held in placed.items()}
+        return displaced
+
+    stage1._try_place = checked
+    try:
+        yield
+    finally:
+        stage1._try_place = saved
+
+
 def _reference_rank(sc) -> np.ndarray:
     ctx = ref.ScalarCtx(sc)
     return np.array([[ctx.rank[u.id].get(b.id, -1) for b in sc.base_stations]
@@ -106,7 +129,8 @@ def test_admission_matches_the_reference(sc):
     for name, solve in SOLVERS.items():
         with ref.patched():
             expected = solve(sc)
-        assert exact(solve(sc)) == exact(expected), name
+        with holders_checked():
+            assert exact(solve(sc)) == exact(expected), name
 
 
 def padded(sc, sol, extra) -> Stage1Solution:
