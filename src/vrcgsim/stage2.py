@@ -12,11 +12,24 @@ DemandProfile, the resource vector that zips with ComputeNode.caps, and
 each latency column less its routing share, to which a candidate adds its
 own route latency. The columns are summed from the stage-1 solution's one
 kept table of latency parts (stage1.latency_columns).
+
+The solvers price those inputs once per timestep too, as arrays
+(stage2_table, kept beside them): per (cell, node) the fastest route's
+latency, and per (user, node) whether every serving cell's fastest route
+meets the deadline, the slowest of them, the variable cost and the
+unconstrained baseline's lateness. gepar and single_path read the same
+table, since eligibility does not depend on k, and add only their
+migration from the previous placement; unconstrained adds only the
+overflow against its own ledger. verify_stage2 reads the inputs, never
+the table's verdicts.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .radio import traffic_load_bps
 from .scenario import ComputeNode, Scenario, pixels
@@ -127,7 +140,9 @@ class Stage2Inputs:
 
     unrouted holds each stage1_columns latency less its routing share, the
     part no placement changes: a candidate route is tested by adding its
-    latency.
+    latency. Built once per timestep; the solvers read it priced against
+    every node through stage2_table, and _route_user, verify_stage2,
+    total_cost and the oracle read it as it is.
     """
 
     unrouted: dict[tuple[str, str], float]  # (user, serving cell)
@@ -140,6 +155,81 @@ def stage2_inputs(sc: Scenario, stage1: Stage1Solution) -> Stage2Inputs:
         {key: col - route for key, (col, route) in stage1_columns(sc, stage1).items()},
         {uid: demand_profile(sc, stage1, uid) for uid in stage1.admitted},
     ))
+
+
+@dataclass(frozen=True)
+class Stage2Table:
+    """Stage2Inputs priced once per (admitted user, compute node).
+
+    users maps each admitted user, in id order, to its row; columns are
+    the scenario's compute nodes in order. fastest is each (cell, node)
+    pair's fastest-route latency, inf where no route joins them. A node is
+    routed for a user when each serving cell has a route from it, and ok
+    when moreover unrouted + fastest meets the user's deadline at every
+    serving cell: gepar's eligibility for any k >= 1, since a node's
+    fastest route is the first of its k. worst is the slowest of those
+    fastest routes (0 for a user without serving cells), variable is
+    variable_cost, and lateness is baseline_unconstrained's relative
+    deadline excess summed over the serving cells in assoc order. What
+    depends on the call is added by the caller: gepar's migration from its
+    previous placement, unconstrained's overflow against its own ledger.
+    The arrays are read-only.
+    """
+
+    users: dict[str, int]
+    fastest: np.ndarray  # [cell, node], s
+    routed: np.ndarray  # [user, node]
+    ok: np.ndarray  # [user, node]
+    worst: np.ndarray  # [user, node], s
+    variable: np.ndarray  # [user, node]
+    lateness: np.ndarray  # [user, node]
+
+
+def _build_table(sc: Scenario, stage1: Stage1Solution) -> Stage2Table:
+    inputs = stage2_inputs(sc, stage1)
+    nodes = sc.compute_nodes
+    col = {b.id: j for j, b in enumerate(sc.base_stations)}
+    fastest = np.array([[ps[0].latency_s if (ps := sc.paths(b.id, c.id)) else math.inf
+                         for c in nodes] for b in sc.base_stations],
+                       dtype=float).reshape(len(col), len(nodes))
+    users = {uid: i for i, uid in enumerate(sorted(stage1.admitted))}
+    # serving cell s of each user as one [slot, user] table, padded past
+    # the user's last cell; a padded slot changes nothing below
+    width = max((len(stage1.assoc[uid]) for uid in users), default=0)
+    cells = np.zeros((width, len(users)), dtype=np.intp)
+    unrouted = np.zeros((width, len(users)))
+    live = np.zeros((width, len(users)), dtype=bool)
+    for i, uid in enumerate(users):
+        for s, bid in enumerate(stage1.assoc[uid]):
+            cells[s, i], unrouted[s, i], live[s, i] = col[bid], inputs.unrouted[(uid, bid)], True
+    budget = np.array([sc.radio.deadline_for(stage1.frame_rate[uid]) for uid in users],
+                      dtype=float)[:, None]
+    demand = np.array([inputs.demand[uid] for uid in users], dtype=float).reshape(-1, 4)
+    costs = np.array([(u.gpu, u.cpu, u.ram, u.net) for u in (c.unit_costs for c in nodes)],
+                     dtype=float).reshape(-1, 4)
+    shape = (len(users), len(nodes))
+    routed, ok = np.ones(shape, dtype=bool), np.ones(shape, dtype=bool)
+    worst, lateness = np.zeros(shape), np.zeros(shape)
+    with np.errstate(all="ignore"):  # float arithmetic as in plain Python
+        # left to right, as variable_cost adds the four resources
+        variable = (demand[:, :1] * costs[:, 0] + demand[:, 1:2] * costs[:, 1]
+                    + demand[:, 2:3] * costs[:, 2] + demand[:, 3:] * costs[:, 3])
+        for s in range(width):
+            here, fast = live[s][:, None], fastest[cells[s]]
+            held = fast < math.inf  # a route's latency is finite, as its links' are
+            routed &= held | ~here
+            ok &= ~here | (held & ~(unrouted[s][:, None] + fast > budget + 1e-12))
+            worst = np.where(here, np.maximum(worst, fast), worst)
+            late = (unrouted[s][:, None] + fast - budget) / budget
+            lateness += np.where(here & (late > 0.0), late, 0.0)
+    for array in (fastest, routed, ok, worst, variable, lateness):
+        array.flags.writeable = False
+    return Stage2Table(users, fastest, routed, ok, worst, variable, lateness)
+
+
+def stage2_table(sc: Scenario, stage1: Stage1Solution) -> Stage2Table:
+    """The timestep's priced table, built on first use and kept on stage1."""
+    return _kept(stage1, sc, "stage2_table", lambda: _build_table(sc, stage1))
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +325,40 @@ def _route_user(
     return plan, link_add
 
 
+def _migration(
+    sc: Scenario, stage1: Stage1Solution, table: Stage2Table, prev: dict[str, str]
+) -> np.ndarray:
+    """migration_cost from prev to each node a user may take, [user, node].
+
+    Priced where the table's ok holds and the node is not the user's
+    previous one, and 0 elsewhere, one hop row per previous node. A move
+    that no crosshaul route prices raises the ValueError of the first such
+    (user, node) in stage1.admitted and node order.
+    """
+    out = np.zeros(table.ok.shape)
+    ids = [c.id for c in sc.compute_nodes]
+    at = {cid: j for j, cid in enumerate(ids)}
+    movers: dict[str, list[int]] = {}
+    for uid, i in table.users.items():
+        if (p := prev.get(uid)) is not None:
+            movers.setdefault(p, []).append(i)
+    for p, rows in movers.items():
+        need = table.ok[rows]
+        if p in at:
+            need[:, at[p]] = False
+        hops = np.zeros(len(ids))
+        try:
+            for j in np.flatnonzero(need.any(axis=0)).tolist():
+                hops[j] = sc.hop_distance(p, ids[j])
+        except ValueError:
+            for uid in stage1.admitted:
+                for j in np.flatnonzero(table.ok[table.users[uid]]).tolist():
+                    migration_cost(sc, prev.get(uid), ids[j])
+            raise
+        out[rows] = np.where(need, sc.radio.migration_unit_cost * hops, 0.0)
+    return out
+
+
 def gepar(
     sc: Scenario,
     stage1: Stage1Solution,
@@ -252,85 +376,77 @@ def gepar(
     candidate yields to an already active node when the active node's
     marginal price undercuts activating fresh. Flows spread across up to k
     routes per serving cell; a node is committed only when every cell can
-    be routed inside capacity and deadline.
+    be routed inside capacity and deadline. The candidates and their prices
+    are read off stage2_table; only the migration term is priced per call.
+    k_paths, like RadioParams.k_paths, is at least 1.
     """
     prev = prev_placement or {}
     k = k_paths if k_paths is not None else sc.radio.k_paths
     eps = sc.radio.epsilon if k > 1 else 1.0
     inputs = stage2_inputs(sc, stage1)
+    table = stage2_table(sc, stage1)
     ledger = _Ledger(sc)
+    nodes = sc.compute_nodes
+    ids = [c.id for c in nodes]
+    rank = dict(zip(sorted(ids), range(len(ids))))
+    by_id = [rank[cid] for cid in ids]
 
     placement: dict[str, str] = {}
     selected: dict[str, tuple[str, ...]] = {}
     flow: dict[tuple[str, str], float] = {}
-    active: set[str] = set()
+    active: set[int] = set()  # node columns
     unplaced: set[str] = set()
 
-    # per user: the viable nodes by (price when off, worst fastest route,
-    # id), and each one's price once it is on
-    prefs_of: dict[str, list[tuple[float, float, str]]] = {}
-    price_of: dict[str, dict[str, float]] = {}
-    for uid in stage1.admitted:
-        deadline = sc.radio.deadline_for(stage1.frame_rate[uid]) + 1e-12
-        prefs_of[uid] = prefs = []
-        price_of[uid] = price = {}
-        for c in sc.compute_nodes:
-            worst_best = 0.0
-            for bid in stage1.assoc[uid]:
-                paths = sc.paths(bid, c.id)[:k]
-                if not paths or inputs.unrouted[(uid, bid)] + paths[0].latency_s > deadline:
-                    break
-                worst_best = max(worst_best, paths[0].latency_s)
-            else:
-                price[c.id] = variable_cost(c, inputs.demand[uid]) + migration_cost(
-                    sc, prev.get(uid), c.id
-                )
-                prefs.append((price[c.id] + c.fixed_cost, worst_best, c.id))
-        prefs.sort()
+    # per user: the ok nodes by (price when off, worst fastest route, id),
+    # and each one's price once it is on
+    price = table.variable + _migration(sc, stage1, table, prev)
+    fresh = price + np.array([c.fixed_cost for c in nodes], dtype=float)
+    ranked = np.lexsort((np.broadcast_to(by_id, price.shape), table.worst, fresh, ~table.ok))
+    viable = table.ok.sum(axis=1).tolist()
 
     # users pinned to few nodes place first so flexible ones gather around
     # them; within a tier the heaviest renderers go first
     order = sorted(
-        stage1.admitted,
-        key=lambda uid: (len(prefs_of[uid]), -inputs.demand[uid].gpu, uid),
+        table.users,
+        key=lambda uid: (viable[table.users[uid]], -inputs.demand[uid].gpu, uid),
     )
 
     for uid in order:
-        price = price_of[uid]
+        i = table.users[uid]
+        row, row_fresh, row_ok = price[i].tolist(), fresh[i].tolist(), table.ok[i].tolist()
         d = inputs.demand[uid]
-        queue = [cid for _, _, cid in prefs_of[uid]]
-        tested: set[str] = set()
+        queue = ranked[i, :viable[i]].tolist()
+        tested: set[int] = set()
         while queue:
-            cid = queue.pop(0)
-            if cid not in active:
+            j = queue.pop(0)
+            if j not in active:
                 # an active node whose marginal price undercuts a fresh
                 # activation takes over; the popped candidate stays next
-                fresh = price[cid] + sc.cn(cid).fixed_cost
                 swaps = [
-                    (price[n], n)
+                    (row[n], by_id[n], n)
                     for n in active
-                    if n not in tested and n in price and fresh >= price[n]
+                    if n not in tested and row_ok[n] and row_fresh[j] >= row[n]
                 ]
                 if swaps:
-                    queue.insert(0, cid)
-                    cid = min(swaps)[1]
-            if cid in tested:
+                    queue.insert(0, j)
+                    j = min(swaps)[2]
+            if j in tested:
                 continue
-            tested.add(cid)
-            if not ledger.fits(sc.cn(cid), d):
+            tested.add(j)
+            if not ledger.fits(nodes[j], d):
                 continue
-            routed = _route_user(sc, stage1, inputs, ledger, uid, cid, k, eps)
+            routed = _route_user(sc, stage1, inputs, ledger, uid, ids[j], k, eps)
             if routed is None:
                 continue
             plan, link_add = routed
             for pid, frac in plan.items():
                 flow[(uid, pid)] = frac
             selected[uid] = tuple(sorted(plan))
-            placement[uid] = cid
-            ledger.occupy(cid, d)
+            placement[uid] = ids[j]
+            ledger.occupy(ids[j], d)
             for lid, add in link_add.items():
                 ledger.link_used[lid] += add
-            active.add(cid)
+            active.add(j)
             break
         else:
             unplaced.add(uid)
@@ -339,7 +455,7 @@ def gepar(
         placement=placement,
         selected_paths=selected,
         flow=flow,
-        active_cns=frozenset(active),
+        active_cns=frozenset(ids[j] for j in active),
         unplaced=frozenset(unplaced),
     )
 
@@ -368,11 +484,23 @@ def baseline_unconstrained(
     Placement is re-optimized from scratch each call: relocation charges
     show up on the bill afterwards but never steer the argmin, which is
     what makes this baseline expensive to run over a mobility trace.
+    Money and lateness are read off stage2_table; only the overflow
+    against this call's ledger is priced per (user, node).
     """
     w_cap, w_lat = _PENALTY_WEIGHTS
     inputs = stage2_inputs(sc, stage1)
+    table = stage2_table(sc, stage1)
     ledger = _Ledger(sc)
     order = sorted(stage1.admitted, key=lambda uid: (-inputs.demand[uid].gpu, uid))
+    nodes = sc.compute_nodes
+    # each (cell, node)'s fastest route as its (link id, capacity) pairs,
+    # links without capacity left out as the overflow skips them
+    first_links = {
+        b.id: [tuple((ln.id, ln.capacity_bps) for ln in ps[0].links if ln.capacity_bps > 0)
+               if (ps := sc.paths(b.id, c.id)) else () for c in nodes]
+        for b in sc.base_stations
+    }
+    nodes_used = [(ledger.cn_used[c.id], c.caps) for c in nodes]  # rows the ledger updates
 
     placement: dict[str, str] = {}
     selected: dict[str, tuple[str, ...]] = {}
@@ -383,33 +511,28 @@ def baseline_unconstrained(
     for uid in order:
         serving = stage1.assoc[uid]
         d = inputs.demand[uid]
-        fps = stage1.frame_rate[uid]
-        deadline = sc.radio.deadline_for(fps)
+        i = table.users[uid]
+        loads = [stage1.share[(uid, bid)] * d.net for bid in serving]
+        routes = [first_links[bid] for bid in serving]
+        money, late, routed = (table.variable[i].tolist(), table.lateness[i].tolist(),
+                               table.routed[i].tolist())
         best: tuple[float, str] | None = None
-        for c in sc.compute_nodes:
-            # c's fastest route to each serving cell
-            firsts = [ps[0] for bid in serving if (ps := sc.paths(bid, c.id))]
-            if len(firsts) < len(serving):
+        for j, c in enumerate(nodes):
+            if not routed[j]:
                 continue
-            money = variable_cost(c, d)
+            cost = money[j]
             if c.id not in active:
-                money += c.fixed_cost
+                cost += c.fixed_cost
             overflow = 0.0
-            for u_r, n_r, cap in zip(ledger.cn_used[c.id], d, c.caps):
-                if cap > 0:
-                    overflow += max(0.0, (u_r + n_r - cap) / cap)
-            excess = 0.0
-            for bid, first in zip(serving, firsts):
-                load = stage1.share[(uid, bid)] * d.net
-                for ln in first.links:
-                    room = ln.capacity_bps
-                    if room > 0:
-                        overflow += max(
-                            0.0, (ledger.link_used[ln.id] + load - room) / room
-                        )
-                late = inputs.unrouted[(uid, bid)] + first.latency_s - deadline
-                excess += max(0.0, late / deadline)
-            score = money + w_cap * overflow + w_lat * excess
+            used, caps = nodes_used[j]
+            for u_r, n_r, cap in zip(used, d, caps):
+                if cap > 0 and (t := u_r + n_r) > cap:
+                    overflow += (t - cap) / cap
+            for route, load in zip(routes, loads):
+                for lid, room in route[j]:
+                    if (t := ledger.link_used[lid] + load) > room:
+                        overflow += (t - room) / room
+            score = cost + w_cap * overflow + w_lat * late[j]
             if best is None or (score, c.id) < best:
                 best = (score, c.id)
         if best is None:
@@ -420,9 +543,8 @@ def baseline_unconstrained(
         active.add(cid)
         ledger.occupy(cid, d)
         pids = []
-        for bid in serving:
+        for bid, load in zip(serving, loads):
             first = sc.paths(bid, cid)[0]
-            load = stage1.share[(uid, bid)] * d.net
             for ln in first.links:
                 ledger.link_used[ln.id] += load
             pids.append(first.id)
@@ -447,7 +569,8 @@ def verify_stage2(
     """All placement, capacity, routing, link and latency constraints.
 
     Users the solver reported unplaced are exempt; everything the solution
-    claims to have placed is checked in full.
+    claims to have placed is checked in full. The unplaced set must name
+    admitted users the solution does not place.
     """
     out: list[Violation] = []
     inputs = stage2_inputs(sc, stage1)
@@ -462,6 +585,11 @@ def verify_stage2(
     for uid in stage1.admitted:
         if uid not in placed and uid not in solution.unplaced:
             out.append(Violation("placement", uid, "admitted user neither placed nor reported"))
+    for uid in sorted(solution.unplaced):
+        if uid in placed:
+            out.append(Violation("placement", uid, "placed and reported unplaced"))
+        if uid not in stage1.admitted:
+            out.append(Violation("placement", uid, "reported unplaced but not admitted in stage 1"))
 
     # compute capacity
     totals = {c.id: [0.0] * len(DemandProfile._fields) for c in sc.compute_nodes}

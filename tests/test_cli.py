@@ -254,3 +254,21 @@ def test_cli_needs_no_library_but_numpy(tmp_path):
         done = subprocess.run([sys.executable, "-c", script, *args], env=env,
                               capture_output=True, text=True)
         assert done.returncode == 0, (args[0], done.stderr)
+
+
+def test_verify_flags_an_unplaced_set_that_disagrees_with_the_placement(tmp_path, capsys):
+    sc_path = tmp_path / "sc.json"
+    sols = tmp_path / "sols.json"
+    main(["generate", *RUN, "--out", str(sc_path)])
+    main(["run", str(sc_path), "--methods", "vexa,gepar",
+          "--out", str(tmp_path / "r.csv"), "--solutions", str(sols)])
+    doc = json.loads(sols.read_text())
+    entry = doc["solutions"]["gepar"]
+    uid = min(entry["placement"])
+    entry["unplaced"] = sorted({*entry["unplaced"], uid, "ghost"})
+    sols.write_text(json.dumps(doc))
+    assert main(["verify", str(sc_path), str(sols)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert f"gepar: placement {uid}: placed and reported unplaced" in out
+    assert "gepar: placement ghost: reported unplaced but not admitted in stage 1" in out
+    assert "vexa: ok" in out

@@ -322,10 +322,10 @@ def test_gepar_output_always_verifies(seed):
 
 
 def test_stage2_inputs_are_built_once_per_timestep(monkeypatch):
-    """One stage1_columns call and one demand_profile call per admitted
-    user each timestep, however many solvers, verifiers and costs read
-    them."""
-    calls = {"columns": 0, "demand": 0}
+    """One stage1_columns call, one demand_profile call per admitted user
+    and one priced stage-2 table each timestep, however many solvers,
+    verifiers and costs read them."""
+    calls = {"columns": 0, "demand": 0, "table": 0}
     marks, admitted = [], []
 
     def counting(key, fn):
@@ -342,11 +342,11 @@ def test_stage2_inputs_are_built_once_per_timestep(monkeypatch):
 
     monkeypatch.setattr(stage2, "stage1_columns", counting("columns", stage1_columns))
     monkeypatch.setattr(stage2, "demand_profile", counting("demand", demand_profile))
+    monkeypatch.setattr(stage2, "_build_table", counting("table", stage2._build_table))
     monkeypatch.setattr(metrics, "vexa", solve)
     sc = generate_synthetic(seed=5, n_users=60, n_bs=4, n_cns=6)
     metrics.run_experiment(sc, ["gepar", "single_path", "unconstrained"], timesteps=3)
     marks.append(dict(calls))
-    per_step = [(b["columns"] - a["columns"], b["demand"] - a["demand"])
-                for a, b in zip(marks, marks[1:])]
-    assert per_step == [(1, n) for n in admitted]
+    per_step = [tuple(b[key] - a[key] for key in calls) for a, b in zip(marks, marks[1:])]
+    assert per_step == [(1, n, 1) for n in admitted]
     assert all(n > 0 for n in admitted)
