@@ -205,7 +205,7 @@ def exact_stage2(sc: Scenario, stage1: Stage1Solution) -> tuple[Stage2Solution, 
     cn_ids = [c.id for c in sc.compute_nodes]
 
     def placement_cost(cids: tuple[str, ...]) -> float:
-        fixed = sum(sc.cn(cid).fixed_cost for cid in set(cids))
+        fixed = sum(sc.cn(cid).fixed_cost for cid in sorted(set(cids)))
         out = fixed
         for uid, cid in zip(users, cids):
             out += variable_cost(sc.cn(cid), demands[uid])

@@ -16,15 +16,13 @@ first and raises resolution (quality players) or frame rate (performance
 players) one rung at a time while the PRB pool, per-cell throughput, the
 frame queue and the per-frame deadline keep holding. A user whose step
 does not fit is not offered one again until a cell serving them gets
-grants back, since nothing else can make it fit; the pass reaches the
-same fixed point by the same moves as offering everyone a step every
-round.
+grants back, since nothing else can make it fit; the pass makes the same
+moves as offering everyone a step every round. vexa runs it on admission's
+live state; solutions list users in catalog order.
 
 Grants are sized as arrays over (user, cell, rung) columns, each column
 priced at most once per solve: the entry rung of every covering pair, and
-in each upgrade round the next rung of the users offered a step. vexa
-hands its context to maximize_qoe on the intermediate solution, so a
-solve builds it once and nothing of it outlives the solve.
+in each upgrade round the next rung of the users offered a step.
 
 A solution's six latency parts per (user, serving cell) pair are one
 table of arrays (latency_columns), built once and kept on the solution:
@@ -72,11 +70,11 @@ class Stage1Solution:
 
     assoc lists serving cells in the user's preference order; prbs counts
     PRB-TTI grants over the scheduling window; share is the fraction of the
-    video stream each serving cell carries (equal split). _memo keeps
-    what is derived from this solution alone (its latency columns, stage
-    2's input table, stage 3's grant layout), so it lives and dies with
-    the timestep's solution. vexa leaves its solve context on the
-    solution it hands to maximize_qoe, which takes it off.
+    video stream each serving cell carries (equal split). Every dict of a
+    solver's solution lists users in catalog order. _memo keeps what is
+    derived from this solution alone (its latency columns, stage 2's input
+    table, stage 3's grant layout), so it lives and dies with the
+    timestep's solution.
     """
 
     assoc: dict[str, tuple[str, ...]]
@@ -220,7 +218,7 @@ def _qoe(sc: Scenario, uid: str, res, fps) -> float:
 
 
 def total_qoe_stage1(sc: Scenario, solution: Stage1Solution) -> float:
-    return sum(qoe_stage1(sc, solution, uid) for uid in solution.admitted)
+    return sum(qoe_stage1(sc, solution, uid) for uid in sorted(solution.admitted))
 
 
 # ---------------------------------------------------------------------------
@@ -396,20 +394,21 @@ class _State:
         del self.fps[uid]
 
     def to_solution(self) -> Stage1Solution:
+        """The placed users as a solution, in catalog (link-table row) order."""
         assoc = {}
         prbs = {}
         share = {}
-        for uid, placements in self.place.items():
-            bids = tuple(placements)
-            assoc[uid] = bids
+        for uid in sorted(self.place, key=self.ctx.lt.user_index.__getitem__):
+            placements = self.place[uid]
+            bids = assoc[uid] = tuple(placements)
             for bid, g in placements.items():
                 prbs[(uid, bid)] = g
                 share[(uid, bid)] = 1.0 / len(bids)
         return Stage1Solution(
             assoc=assoc,
             prbs=prbs,
-            resolution=dict(self.res),
-            frame_rate=dict(self.fps),
+            resolution={uid: self.res[uid] for uid in assoc},
+            frame_rate={uid: self.fps[uid] for uid in assoc},
             share=share,
             admitted=frozenset(self.place),
         )
@@ -498,9 +497,7 @@ def vexa(sc: Scenario, max_connections: int | None = None) -> Stage1Solution:
         remaining = failed
         if not remaining:
             break
-    admitted = st.to_solution()
-    admitted._memo["ctx"] = (sc, ctx)  # the upgrade pass sizes from the same context
-    return maximize_qoe(admitted, sc)
+    return _upgrade(st)
 
 
 def baseline_single_association(sc: Scenario) -> Stage1Solution:
@@ -588,13 +585,16 @@ def maximize_qoe(solution: Stage1Solution, sc: Scenario) -> Stage1Solution:
     a step every round. Upgrades only ever move selections up. A selection
     off the headset's menu raises ValueError.
     """
-    kept = solution._memo.pop("ctx", None)  # vexa's context, for this solve only
-    ctx = kept[1] if kept is not None and kept[0] is sc else _Ctx(sc)
-    st = _State(ctx)
+    st = _State(_Ctx(sc))
     for uid in solution.admitted:
         placements = {bid: solution.prbs[(uid, bid)] for bid in solution.assoc[uid]}
         st.add(uid, placements, solution.resolution[uid], solution.frame_rate[uid])
+    return _upgrade(st)
 
+
+def _upgrade(st: _State) -> Stage1Solution:
+    """maximize_qoe's pass on a live allocation, which it moves to the fixed point."""
+    ctx = st.ctx
     climb = {}  # uid -> (ladder, position on it)
     key = {}  # uid -> (-gap, row), the order of a round
     for uid in st.place:
@@ -698,7 +698,7 @@ def verify_stage1(solution: Stage1Solution, sc: Scenario) -> list[Violation]:
             out.append(Violation("exclusivity", f"{uid}/{bid}", "non-positive grant entry"))
         if uid not in solution.admitted or bid not in solution.assoc.get(uid, ()):
             out.append(Violation("exclusivity", f"{uid}/{bid}", "grants outside association"))
-    for uid in solution.admitted:
+    for uid in sorted(solution.admitted):
         for bid in solution.assoc.get(uid, ()):
             if solution.prbs.get((uid, bid), 0) <= 0:
                 out.append(Violation("exclusivity", f"{uid}/{bid}", "serving cell has no grants"))

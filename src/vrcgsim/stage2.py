@@ -102,7 +102,7 @@ def total_cost(
 ) -> CostBreakdown:
     prev = prev_placement or {}
     demand = stage2_inputs(sc, stage1).demand
-    fixed = sum(sc.cn(cid).fixed_cost for cid in solution.active_cns)
+    fixed = sum(sc.cn(cid).fixed_cost for cid in sorted(solution.active_cns))
     variable = 0.0
     migration = 0.0
     for uid, cid in solution.placement.items():
@@ -382,6 +382,8 @@ def gepar(
     """
     prev = prev_placement or {}
     k = k_paths if k_paths is not None else sc.radio.k_paths
+    if k < 1:
+        raise ValueError(f"k_paths must be at least 1, got {k}")
     eps = sc.radio.epsilon if k > 1 else 1.0
     inputs = stage2_inputs(sc, stage1)
     table = stage2_table(sc, stage1)

@@ -139,7 +139,7 @@ def qoe_stage3(
 def total_qoe_stage3(
     sc: Scenario, stage1: Stage1Solution, resolutions: ResMap
 ) -> float:
-    return sum(qoe_stage3(sc, stage1, resolutions, uid) for uid in stage1.admitted)
+    return sum(qoe_stage3(sc, stage1, resolutions, uid) for uid in sorted(stage1.admitted))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ step in every round until a round changes nothing, and the audit prices
 each serving pair's six latency parts one pair at a time (`latency_columns`,
 the reference for `stage1.latency_columns`) and checks them user by user.
 `patched` swaps it into the solvers in place of `_Ctx`, `_try_place`,
-`maximize_qoe` and `verify_stage1`.
+the upgrade pass `_upgrade` and `verify_stage1`.
 """
 import contextlib
 import math
@@ -302,7 +302,7 @@ def verify_stage1(solution: Stage1Solution, sc: Scenario) -> list[Violation]:
             out.append(Violation("exclusivity", f"{uid}/{bid}", "non-positive grant entry"))
         if uid not in solution.admitted or bid not in solution.assoc.get(uid, ()):
             out.append(Violation("exclusivity", f"{uid}/{bid}", "grants outside association"))
-    for uid in solution.admitted:
+    for uid in sorted(solution.admitted):
         for bid in solution.assoc.get(uid, ()):
             if solution.prbs.get((uid, bid), 0) <= 0:
                 out.append(Violation("exclusivity", f"{uid}/{bid}", "serving cell has no grants"))
@@ -372,9 +372,13 @@ def verify_stage1(solution: Stage1Solution, sc: Scenario) -> list[Violation]:
 @contextlib.contextmanager
 def patched():
     """Run the stage-1 solvers and audit on this reference instead of the tables."""
-    names = ("_Ctx", "_try_place", "maximize_qoe", "verify_stage1")
+    names = ("_Ctx", "_try_place", "_upgrade", "verify_stage1")
     saved = [getattr(stage1, name) for name in names]
-    for name, f in zip(names, (ScalarCtx, try_place, maximize_qoe, verify_stage1)):
+
+    def upgrade(st):
+        return maximize_qoe(st.to_solution(), st.ctx.sc)
+
+    for name, f in zip(names, (ScalarCtx, try_place, upgrade, verify_stage1)):
         setattr(stage1, name, f)
     try:
         yield

@@ -8,6 +8,9 @@ from the repository root and commit the rewritten files under tests/data/.
 """
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from helpers import mobility_scenario, tiny_scenario
@@ -94,6 +97,55 @@ def test_split_admission_matches_pinned_output():
     """80 users on 1-PRB cells under a relaxed deadline: evictions and
     two-cell placements."""
     _check(_split())
+
+
+# every order and float total below once varied with the hash seed
+HASH_SEED_SCRIPT = """
+import json
+from dataclasses import replace
+from vrcgsim.metrics import emit, run_experiment
+from vrcgsim.scenario import generate_synthetic, load_scenario, scenario_to_json
+from vrcgsim.stage1 import total_qoe_stage1, verify_stage1, vexa
+from vrcgsim.stage3 import amps, total_qoe_stage3
+
+sc = generate_synthetic(seed=3, n_users=200, n_bs=4, n_cns=5)
+sol = vexa(sc)
+print(list(sol.assoc))
+print(list(sol.assoc) == [u.id for u in sc.users if u.id in sol.admitted])
+print(repr(total_qoe_stage1(sc, sol)), repr(total_qoe_stage3(sc, sol, amps(sc, sol).object_resolution)))
+
+over = {"regional_cap_bps": 6e8, "cloud_cap_bps": 8e8, "migration_unit_cost": 5.0}
+cfg = json.loads(scenario_to_json(generate_synthetic(seed=5, n_users=250, n_bs=10, n_cns=13,
+                                                     overrides=over)))
+fees = [0.1, 0.2, 0.3, 0.7, 1.1, 1.3, 0.9, 2.3, 0.01, 3.7, 0.05, 0.6, 0.45]
+for cn, fee in zip(cfg["compute_nodes"], fees):
+    cn["fixed_cost"] = fee
+print(emit(run_experiment(load_scenario(json.dumps(cfg)), ["gepar", "unconstrained"],
+                          timesteps=2), "json"))
+
+sc = generate_synthetic(seed=21, n_users=60, n_bs=4, n_cns=6)
+sol = vexa(sc)
+zeroed = dict(sol.prbs)
+for pair in sorted(zeroed)[::7][:6]:
+    zeroed[pair] = 0
+print(verify_stage1(replace(sol, prbs=zeroed), sc))
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed():
+    """Stage-1 dict order, float totals and audit findings, under two hash seeds."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-c", HASH_SEED_SCRIPT], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        runs.append(done.stdout)
+    assert runs[0].splitlines()[1] == "True"
+    assert "serving cell has no grants" in runs[0]
+    assert runs[0] == runs[1]
 
 
 if __name__ == "__main__":

@@ -79,13 +79,13 @@ def by_user(sc, sol):
 
 @contextlib.contextmanager
 def no_upgrades():
-    """vexa stops at admission: its upgrade pass hands the solution back."""
-    saved = stage1.maximize_qoe
-    stage1.maximize_qoe = lambda solution, sc: solution
+    """vexa stops at admission: its upgrade pass hands the state back as it is."""
+    saved = stage1._upgrade
+    stage1._upgrade = lambda st: st.to_solution()
     try:
         yield
     finally:
-        stage1.maximize_qoe = saved
+        stage1._upgrade = saved
 
 
 @contextlib.contextmanager
@@ -418,3 +418,25 @@ def test_no_stage1_state_outlives_its_solve():
     assert sol._memo == {}
     maximize_qoe(sol, sc)
     assert sol._memo == {}
+
+
+def test_a_solve_builds_one_state_and_one_solution(monkeypatch):
+    """vexa's upgrade pass runs on the state admission built."""
+    calls = {"state": 0, "solution": 0}
+    init, to_solution = stage1._State.__init__, stage1._State.to_solution
+
+    def counted_init(self, ctx):
+        calls["state"] += 1
+        init(self, ctx)
+
+    def counted_to_solution(self):
+        calls["solution"] += 1
+        return to_solution(self)
+
+    monkeypatch.setattr(stage1._State, "__init__", counted_init)
+    monkeypatch.setattr(stage1._State, "to_solution", counted_to_solution)
+    sc = crowded_city(3, 150, 3, 400.0, usable_prbs=2)
+    for name, solve in SOLVERS.items():
+        calls.update(state=0, solution=0)
+        solve(sc)
+        assert calls == {"state": 1, "solution": 1}, name

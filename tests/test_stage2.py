@@ -272,6 +272,18 @@ def test_gepar_never_costs_more_than_single_path():
                 <= total_cost(single, sc, s1).total + 1e-9)
 
 
+def test_gepar_takes_at_least_one_route():
+    sc = generate_synthetic(seed=3, n_users=40, n_bs=4, n_cns=6)
+    s1 = vexa(sc)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match=f"k_paths must be at least 1, got {k}"):
+            gepar(sc, s1, k_paths=k)
+    single = baseline_single_path(sc, s1)
+    assert single == gepar(sc, s1, k_paths=1)
+    assert not single.unplaced
+    assert all(len(paths) == 1 for paths in single.selected_paths.values())
+
+
 def test_unconstrained_zero_weights_packs_cheapest_node(monkeypatch):
     monkeypatch.setattr(stage2, "_PENALTY_WEIGHTS", (0.0, 0.0))
     sc = generate_synthetic(seed=7, n_users=30, n_bs=4, n_cns=6)
