@@ -11,7 +11,8 @@ solves three dependent allocation problems in sequence:
    PRB-to-TTI scheduling (`stage3`).
 
 Each stage ships greedy solvers, the baselines they are measured against,
-an exhaustive oracle within a fixed enumeration budget (`oracle`) and
+an exact oracle (`oracle`: enumeration within a fixed budget for stages 1
+and 3, a mixed-integer model solved by scipy's HiGHS for stage 2) and
 independent feasibility verifiers. `metrics.run_experiment` drives the full
 pipeline over mobility steps and the `vrcgsim` CLI wraps it.
 """

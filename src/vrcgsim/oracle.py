@@ -1,14 +1,11 @@
-"""Exhaustive solvers used as ground truth.
+"""Exact solvers used as ground truth.
 
-Each exact_* function enumerates the full decision space of one stage,
-keeps the feasible candidates and returns the best. Before enumerating,
-each counts the candidates it will evaluate, in Python integers, and
-refuses with OracleRefusal when the count is above BUDGET; there is no
-other size limit. Stage 3 decomposes by user, so its count is a sum and
-`exact_stage3` runs at paper scale. They are written for correctness,
-not speed: plain nested enumeration with feasibility pruning and
-deterministic tie-breaking by the lexicographically smallest solution
-encoding.
+exact_stage1 and exact_stage3 enumerate their stage's decision space and
+keep the best feasible candidate, ties going to the lexicographically
+smallest encoding. Each first counts its candidates and refuses with
+OracleRefusal above BUDGET; stage 3 decomposes by user, so it runs at
+paper scale. exact_stage2 solves one mixed-integer model with HiGHS; it
+imports scipy only when called and answers at paper scale.
 """
 from __future__ import annotations
 
@@ -19,7 +16,6 @@ from .radio import fixed_latency_s, frame_bits, link_tables, traffic_load_bps
 from .scenario import Scenario, distance, pixels
 from .stage1 import Stage1Solution, grant_pool, verify_stage1
 from .stage2 import (
-    DemandProfile,
     Stage2Solution,
     stage1_columns,
     stage2_inputs,
@@ -28,18 +24,22 @@ from .stage2 import (
 )
 from .stage3 import ResMap
 
-BUDGET = 10**7  # candidate evaluations per oracle call
+BUDGET = 10**7  # candidate evaluations per enumerating oracle call
+TIME_LIMIT_S = 60  # HiGHS wall-clock limit per stage-2 oracle call
 
 
 class OracleRefusal(ValueError):
-    """An enumeration over BUDGET.
+    """An enumeration over BUDGET, or a stage-2 model left unsolved.
 
-    `estimate` is the candidate count as a float, inf past the float range.
+    `estimate` is the candidate count as a float, inf past the float range,
+    or None for stage 2's refusals: scipy missing, or TIME_LIMIT_S hit.
     """
 
-    def __init__(self, reason: str, estimate: float):
+    def __init__(self, reason: str, estimate: float | None = None):
         self.estimate = estimate
-        super().__init__(f"{reason} (estimated {estimate:.3g} candidate evaluations)")
+        if estimate is not None:
+            reason += f" (estimated {estimate:.3g} candidate evaluations)"
+        super().__init__(reason)
 
 
 def _within_budget(count: int) -> None:
@@ -166,10 +166,7 @@ def exact_stage1(sc: Scenario) -> tuple[Stage1Solution, float]:
             )
             best = (objective, enc, sol)
 
-    if best is None:
-        # every combination infeasible: the empty solution stands
-        empty = Stage1Solution({}, {}, {}, {}, {}, frozenset())
-        return empty, 0.0
+    # best is set: the all-rejected candidate always fits, as no grant pool is negative
     problems = verify_stage1(best[2], sc)
     assert not problems, f"oracle produced a solution its own verifier rejects: {problems[:2]}"
     return best[2], best[0]
@@ -180,153 +177,111 @@ def exact_stage1(sc: Scenario) -> tuple[Stage1Solution, float]:
 
 
 def exact_stage2(sc: Scenario, stage1: Stage1Solution) -> tuple[Stage2Solution, float]:
-    """Minimum-cost placement with routed flows for every admitted user.
+    """Minimum-cost placement with exact routed flows, by one HiGHS model.
 
-    Placements and per-cell path subsets are enumerated outright. Flows
-    start as an even split over the chosen subset; when that overflows a
-    link, one rebalancing pass re-spreads each cell's flow greedily (floor
-    epsilon per selected path, headroom first in latency order). This is
-    an approximation on the flow side only; placement cost is exact since
-    cost never depends on flow fractions.
-
-    Raises ValueError when no placement can be routed.
+    Binaries x[u, c] for each node whose every serving cell has a route
+    within the user's deadline, y[c] >= x for an active node, and z per
+    eligible (user, cell, node, route) with its flow f: each user on one
+    node, flows toward a cell sum to x, f <= z, a selected route carries
+    at least epsilon (so at most 1 / epsilon are selected), and compute
+    and link loads fit. It minimises fixed plus variable cost to a zero
+    gap. HiGHS accepts rows within about 1e-7, so link rows and flow
+    floors keep a 1e-7 margin of the capacity or the whole flow (compute
+    rows need none once their binaries are rounded); selected flows are
+    clipped at epsilon and renormalised. Equal-cost optima tie as HiGHS
+    returns them. Raises ValueError when nothing routes, OracleRefusal
+    when scipy is missing or no optimum is proven within TIME_LIMIT_S.
     """
     users = [u.id for u in sc.users if u.id in stage1.admitted]
-    pairs = [(uid, bid) for uid in users for bid in stage1.assoc[uid]]
     if not users:
-        empty = Stage2Solution({}, {}, {}, frozenset(), frozenset())
-        return empty, 0.0
-    subsets = 2**sc.radio.k_paths - 1  # nonempty subsets of one cell's routes
-    _within_budget(len(sc.compute_nodes) ** len(users) * subsets ** len(pairs))
+        return Stage2Solution({}, {}, {}, frozenset(), frozenset()), 0.0
+    try:
+        from scipy.optimize import Bounds, LinearConstraint, milp
+        from scipy.sparse import coo_array
+    except ImportError:
+        raise OracleRefusal("the stage-2 oracle needs scipy, which is not installed") from None
 
     columns = stage1_columns(sc, stage1)
     demands = stage2_inputs(sc, stage1).demand
-    eps = sc.radio.epsilon
-    cn_ids = [c.id for c in sc.compute_nodes]
+    eps, margin = sc.radio.epsilon, 1e-7
+    cost = [c.fixed_cost for c in sc.compute_nodes]  # the y[c] come first
+    integral = [1] * len(cost)
+    entries, lower, upper = [], [], []  # (row, column, coefficient), row bounds
 
-    def placement_cost(cids: tuple[str, ...]) -> float:
-        fixed = sum(sc.cn(cid).fixed_cost for cid in sorted(set(cids)))
-        out = fixed
-        for uid, cid in zip(users, cids):
-            out += variable_cost(sc.cn(cid), demands[uid])
-        return out
+    def row(terms, hi: float = 0.0, lo: float = -math.inf) -> None:
+        entries.extend((len(upper), j, v) for j, v in terms)
+        upper.append(hi)
+        lower.append(lo)
 
-    def fits_compute(cids: tuple[str, ...]) -> bool:
-        used = {cid: [0.0] * len(DemandProfile._fields) for cid in cn_ids}
-        for uid, cid in zip(users, cids):
-            for i, n in enumerate(demands[uid]):
-                used[cid][i] += n
-        for c in sc.compute_nodes:
-            if any(u > cap * (1 + 1e-9) for u, cap in zip(used[c.id], c.caps)):
-                return False
-        return True
+    def var(price: float, binary: int = 1) -> int:
+        cost.append(price)
+        integral.append(binary)
+        return len(cost) - 1
 
-    def try_flows(cids: tuple[str, ...]):
-        """First path-subset combination that routes, or None."""
-        cid_of = dict(zip(users, cids))
-        choices = []
-        for uid, bid in pairs:
-            paths = sc.paths(bid, cid_of[uid])
-            if not paths:
-                return None
-            col, route = columns[(uid, bid)]
-            deadline = sc.radio.deadline_for(stage1.frame_rate[uid]) + 1e-12
-            subs = []
-            for r in range(1, len(paths) + 1):
-                for combo in itertools.combinations(range(len(paths)), r):
-                    if max(paths[i].latency_s for i in combo) > deadline - col + route:
-                        continue
-                    if len(combo) * eps > 1.0 + 1e-12:
-                        continue
-                    subs.append(tuple(paths[i] for i in combo))
-            if not subs:
-                return None
-            choices.append(((uid, bid), subs))
-
-        def link_ok(load: dict[str, float]) -> bool:
-            return all(
-                load[ln.id] <= ln.capacity_bps * (1 + 1e-9) for ln in sc.links
-            )
-
-        for picks in itertools.product(*(subs for _, subs in choices)):
-            # even split everywhere first
-            load = {ln.id: 0.0 for ln in sc.links}
-            flows = {}
-            for ((uid, bid), _), chosen in zip(choices, picks):
+    x_of: dict[tuple[str, str], int] = {}  # (user, node) -> column
+    routes: dict[tuple[str, str, str], list] = {}  # (user, node, cell) -> [(path, f, z)]
+    loads: dict[str, list] = {ln.id: [] for ln in sc.links}
+    for uid in users:
+        deadline = sc.radio.deadline_for(stage1.frame_rate[uid]) + 1e-12
+        budget = {bid: deadline - columns[(uid, bid)][0] + columns[(uid, bid)][1]
+                  for bid in stage1.assoc[uid]}
+        mine = []
+        for ci, c in enumerate(sc.compute_nodes):
+            eligible = [(bid, [p for p in sc.paths(bid, c.id) if p.latency_s <= budget[bid]])
+                        for bid in stage1.assoc[uid]]
+            if not all(ps for _, ps in eligible):
+                continue
+            x = x_of[(uid, c.id)] = var(variable_cost(c, demands[uid]))
+            mine.append((x, 1.0))
+            row([(x, 1.0), (ci, -1.0)])
+            for bid, ps in eligible:
                 carried = stage1.share[(uid, bid)] * demands[uid].net
-                q = 1.0 / len(chosen)
-                for p in chosen:
-                    flows[(uid, bid, p)] = q
+                trio = routes[(uid, c.id, bid)] = [(p, var(0.0, 0), var(0.0)) for p in ps]
+                row([(x, -1.0), *((f, 1.0) for _, f, _ in trio)], 0.0, 0.0)
+                for p, f, z in trio:
+                    row([(f, 1.0), (z, -1.0)])
+                    row([(z, eps + margin), (f, -1.0)])
                     for ln in p.links:
-                        load[ln.id] += q * carried
-            if link_ok(load):
-                return flows
-            # one rebalancing pass, cells in deterministic order
-            for ((uid, bid), _), chosen in zip(choices, picks):
-                carried = stage1.share[(uid, bid)] * demands[uid].net
-                for p in chosen:
-                    q = flows.pop((uid, bid, p))
-                    for ln in p.links:
-                        load[ln.id] -= q * carried
-                remaining = 1.0 - eps * len(chosen)
-                for p in chosen:
-                    flows[(uid, bid, p)] = eps
-                    for ln in p.links:
-                        load[ln.id] += eps * carried
-                for p in sorted(chosen, key=lambda p: (p.latency_s, p.id)):
-                    if remaining <= 1e-12 or carried <= 0:
-                        break
-                    room = min(
-                        (ln.capacity_bps - load[ln.id]) / carried for ln in p.links
-                    )
-                    extra = min(remaining, max(0.0, room))
-                    flows[(uid, bid, p)] += extra
-                    remaining -= extra
-                    for ln in p.links:
-                        load[ln.id] += extra * carried
-                if remaining > 1e-12:
-                    # dump the leftover on the fastest path anyway; the
-                    # final capacity check below rejects real overflows
-                    p = chosen[0]
-                    flows[(uid, bid, p)] += remaining
-                    for ln in p.links:
-                        load[ln.id] += remaining * carried
-            if link_ok(load):
-                return flows
-        return None
+                        loads[ln.id].append((f, carried / ln.capacity_bps))
+        if not mine:
+            raise ValueError("no feasible placement for this stage-1 solution")
+        row(mine, 1.0, 1.0)
+    for c in sc.compute_nodes:
+        for i, cap in enumerate(c.caps):
+            row([(x, demands[u][i] / cap) for (u, cid), x in x_of.items() if cid == c.id], 1.0)
+    for ln in sc.links:
+        if loads[ln.id]:
+            row(loads[ln.id], 1.0 - margin)
 
-    best: tuple[float, tuple[int, ...], dict] | None = None
-    for combo in itertools.product(range(len(cn_ids)), repeat=len(users)):
-        cids = tuple(cn_ids[i] for i in combo)
-        cost = placement_cost(cids)
-        if best is not None and cost >= best[0] - 1e-12:
-            continue
-        if not fits_compute(cids):
-            continue
-        flows = try_flows(cids)
-        if flows is None:
-            continue
-        best = (cost, combo, flows)
-
-    if best is None:
+    r, j, v = zip(*entries)
+    res = milp(cost, integrality=integral, bounds=Bounds(0.0, 1.0),
+               constraints=LinearConstraint(coo_array((v, (r, j)), (len(upper), len(cost))),
+                                            lower, upper),
+               options={"time_limit": TIME_LIMIT_S, "mip_rel_gap": 0.0})
+    if res.status == 2:
         raise ValueError("no feasible placement for this stage-1 solution")
-    cost, combo, flows = best
-    placement = {uid: cn_ids[i] for uid, i in zip(users, combo)}
+    if res.status != 0:
+        raise OracleRefusal(f"HiGHS proved no optimum within the {TIME_LIMIT_S} s time limit "
+                            f"on {len(cost)} variables and {len(upper)} rows ({res.message})")
+
+    on = res.x > 0.5
+    placement = {uid: cid for (uid, cid), x in x_of.items() if on[x]}
     flow: dict[tuple[str, str], float] = {}
     selected: dict[str, list[str]] = {}
-    for (uid, bid, p), q in flows.items():
-        flow[(uid, p.id)] = q
-        selected.setdefault(uid, []).append(p.id)
-    solution = Stage2Solution(
-        placement=placement,
-        selected_paths={uid: tuple(sorted(ps)) for uid, ps in selected.items()},
-        flow=flow,
-        active_cns=frozenset(placement.values()),
-        unplaced=frozenset(),
-    )
+    for (uid, cid, _), trio in routes.items():
+        kept = [(p, max(res.x[f], eps)) for p, f, z in trio if placement[uid] == cid and on[z]]
+        whole = sum(q for _, q in kept)
+        for p, q in kept:
+            flow[(uid, p.id)] = float(q / whole)
+            selected.setdefault(uid, []).append(p.id)
+    solution = Stage2Solution(placement, {uid: tuple(sorted(ps)) for uid, ps in selected.items()},
+                              flow, frozenset(placement.values()), frozenset())
     problems = verify_stage2(solution, sc, stage1)
     assert not problems, f"oracle stage-2 solution fails verification: {problems[:2]}"
-    return solution, cost
+    total = sum(sc.cn(cid).fixed_cost for cid in sorted(solution.active_cns))
+    for uid in users:
+        total += variable_cost(sc.cn(placement[uid]), demands[uid])
+    return solution, total
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,7 @@ def stage1_columns(
     """
     table = latency_columns(sc, stage1)
     out = dict(zip(table.pairs, zip(sum(table.parts).tolist(), table.parts[0].tolist())))
-    for uid in stage1.admitted:
+    for uid in sorted(stage1.admitted):
         for bid in stage1.assoc[uid]:
             if (uid, bid) not in out:
                 raise KeyError(uid if uid not in table.users else bid)
@@ -577,14 +577,14 @@ def verify_stage2(
     out: list[Violation] = []
     inputs = stage2_inputs(sc, stage1)
     cn_ids = {c.id for c in sc.compute_nodes}
-    placed = set(solution.placement)
+    placed = solution.placement  # its dict order, never the hash seed's
 
     for uid in placed:
         if uid not in stage1.admitted:
             out.append(Violation("placement", uid, "placed but not admitted in stage 1"))
         if solution.placement[uid] not in cn_ids:
             out.append(Violation("placement", uid, f"unknown node {solution.placement[uid]}"))
-    for uid in stage1.admitted:
+    for uid in sorted(stage1.admitted):
         if uid not in placed and uid not in solution.unplaced:
             out.append(Violation("placement", uid, "admitted user neither placed nor reported"))
     for uid in sorted(solution.unplaced):

@@ -125,3 +125,24 @@ def mobility_scenario():
     for cn in cfg["compute_nodes"]:
         cn["fixed_cost"] = fees[cn["tier"]]
     return load_scenario(json.dumps(cfg))
+
+
+def split_scenario():
+    """One direct link too small for the stream, a longer detour with room."""
+    return make_scenario(
+        users=[{"id": "u0", "position": [1008.0, 1000.0], "game": "gq"}],
+        base_stations=[{"id": "bs0", "position": [1000.0, 1000.0]}],
+        compute_nodes=[
+            {"id": "cn0", "position": [1000.0, 1000.0]},
+            {"id": "cn1", "position": [2000.0, 1000.0], "tier": "regional",
+             "fixed_cost": 1e9},
+        ],
+        links=[
+            {"src": "cn0", "dst": "bs0", "capacity_bps": 12e6, "latency_s": 5e-5},
+            {"src": "bs0", "dst": "cn0", "capacity_bps": 12e6, "latency_s": 5e-5},
+            {"src": "cn0", "dst": "cn1", "capacity_bps": 40e9, "latency_s": 5e-4},
+            {"src": "cn1", "dst": "cn0", "capacity_bps": 40e9, "latency_s": 5e-4},
+            {"src": "cn1", "dst": "bs0", "capacity_bps": 40e9, "latency_s": 5e-4},
+            {"src": "bs0", "dst": "cn1", "capacity_bps": 40e9, "latency_s": 5e-4},
+        ],
+    )

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+import scalar_oracle
 from helpers import mobility_scenario as _mobility_scenario
 from helpers import tiny_scenario
 from vrcgsim import metrics
@@ -114,6 +115,8 @@ def test_placement_cost_tracks_the_exhaustive_optimum():
         s1 = vexa(sc)
         assert s1.admitted, f"seed {seed} admitted nobody"
         _, best = exact_stage2(sc, s1)
+        _, brute = scalar_oracle.exact_stage2(sc, s1)
+        assert best == pytest.approx(brute, rel=1e-9, abs=0.0), f"seed {seed}: model misses"
         sol = gepar(sc, s1)
         assert sol.unplaced == frozenset(), f"seed {seed} left users unplaced"
         ratios.append(total_cost(sol, sc, s1).total / best)

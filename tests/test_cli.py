@@ -201,9 +201,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
 
 
 def test_oracle_refuses_a_count_past_the_float_range(capsys):
-    # 6**400 placements alone: the count is an integer, its estimate inf
+    # at least 5**400 stage-1 options: the count is an integer, its estimate inf
     assert main(["run", "--users", "400", "--bs", "4", "--cns", "6",
-                 "--methods", "vexa,oracle_stage2", "--out", os.devnull]) == 2
+                 "--methods", "oracle_stage1", "--out", os.devnull]) == 2
     err = capsys.readouterr().err
     assert "over budget" in err and "estimated inf candidate evaluations" in err
 
@@ -254,6 +254,11 @@ def test_cli_needs_no_library_but_numpy(tmp_path):
         done = subprocess.run([sys.executable, "-c", script, *args], env=env,
                               capture_output=True, text=True)
         assert done.returncode == 0, (args[0], done.stderr)
+    # the stage-2 oracle is the one method that needs scipy: it refuses
+    done = subprocess.run([sys.executable, "-c", script, "run", str(sc), "--methods",
+                           "vexa,oracle_stage2", "--out", os.devnull], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 2 and "scipy" in done.stderr, done.stderr
 
 
 def test_verify_flags_an_unplaced_set_that_disagrees_with_the_placement(tmp_path, capsys):

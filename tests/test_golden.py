@@ -106,6 +106,7 @@ from dataclasses import replace
 from vrcgsim.metrics import emit, run_experiment
 from vrcgsim.scenario import generate_synthetic, load_scenario, scenario_to_json
 from vrcgsim.stage1 import total_qoe_stage1, verify_stage1, vexa
+from vrcgsim.stage2 import gepar, verify_stage2
 from vrcgsim.stage3 import amps, total_qoe_stage3
 
 sc = generate_synthetic(seed=3, n_users=200, n_bs=4, n_cns=5)
@@ -129,11 +130,21 @@ zeroed = dict(sol.prbs)
 for pair in sorted(zeroed)[::7][:6]:
     zeroed[pair] = 0
 print(verify_stage1(replace(sol, prbs=zeroed), sc))
+
+sc = generate_synthetic(seed=3, n_users=60, n_bs=4, n_cns=6)
+sol = vexa(sc)
+placed = gepar(sc, sol)
+placement = dict(placed.placement)
+for uid in sorted(placement)[:6]:
+    del placement[uid]
+placement.update({f"ghost{i}": f"cn{i - 1}" for i in (1, 2, 3)})
+print([v.subject for v in verify_stage2(replace(placed, placement=placement), sc, sol)[:9]])
 """
 
 
 def test_outputs_do_not_depend_on_the_hash_seed():
-    """Stage-1 dict order, float totals and audit findings, under two hash seeds."""
+    """Stage-1 dict order, float totals and stage-1 and stage-2 audit findings,
+    under two hash seeds."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     runs = []
     for seed in ("0", "1"):
@@ -145,6 +156,9 @@ def test_outputs_do_not_depend_on_the_hash_seed():
         runs.append(done.stdout)
     assert runs[0].splitlines()[1] == "True"
     assert "serving cell has no grants" in runs[0]
+    # placed ghosts in placement order, then the dropped users in id order
+    assert runs[0].splitlines()[-1] == str(
+        ["ghost1", "ghost2", "ghost3", "u0", "u1", "u10", "u11", "u12", "u13"])
     assert runs[0] == runs[1]
 
 

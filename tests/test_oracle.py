@@ -1,9 +1,11 @@
 import math
+import sys
 from dataclasses import replace
 
 import pytest
 
-from helpers import make_scenario, tiny_scenario
+import scalar_oracle
+from helpers import make_scenario, split_scenario, tiny_scenario
 from vrcgsim import oracle
 from vrcgsim.oracle import (
     OracleRefusal,
@@ -12,8 +14,8 @@ from vrcgsim.oracle import (
     exact_stage3,
 )
 from vrcgsim.scenario import generate_synthetic
-from vrcgsim.stage1 import total_qoe_stage1, verify_stage1, vexa
-from vrcgsim.stage2 import gepar, total_cost, verify_stage2
+from vrcgsim.stage1 import Stage1Solution, total_qoe_stage1, verify_stage1, vexa
+from vrcgsim.stage2 import Stage2Solution, gepar, total_cost, verify_stage2
 from vrcgsim.stage3 import amps, total_qoe_stage3, verify_stage3
 
 
@@ -84,17 +86,70 @@ def test_vexa_stays_close_to_exact_optimum():
         assert got >= 0.90 * best - 1e-9
 
 
-def test_placement_refuses_oversized_instance():
+def test_saturated_queues_leave_the_empty_solution():
+    # 50 frames/s of queue service: any admission at 72 or 90 fps
+    # saturates it, so only the all-rejected candidate fits
+    sc = make_scenario(
+        users=[{"id": "u0", "position": [1008.0, 1000.0]}],
+        base_stations=[{"id": "bs0", "position": [1000.0, 1000.0], "frame_capacity_fps": 50.0}],
+    )
+    sol, objective = exact_stage1(sc)
+    assert sol == Stage1Solution({}, {}, {}, {}, {}, frozenset())
+    assert objective == 0.0
+    assert exact_stage2(sc, sol) == (Stage2Solution({}, {}, {}, frozenset(), frozenset()), 0.0)
+
+
+def test_placement_answers_the_nine_user_city():
+    # 7**9 route subsets on one node, which enumeration could not afford
     sc = make_scenario(
         users=[{"id": f"u{i}", "position": [1000.0 + i, 1000.0]} for i in range(9)],
         base_stations=[{"id": "bs0", "position": [1000.0, 1000.0]}],
     )
     s1 = vexa(sc)
     assert len(s1.admitted) == 9
-    with pytest.raises(OracleRefusal) as exc:
-        exact_stage2(sc, s1)
-    assert "budget" in str(exc.value)
-    assert exc.value.estimate == 7.0**9  # path subsets dominate, one node
+    sol, cost = exact_stage2(sc, s1)
+    assert verify_stage2(sol, sc, s1) == []
+    assert total_cost(sol, sc, s1).total == pytest.approx(cost)
+    assert cost <= total_cost(gepar(sc, s1), sc, s1).total + 1e-9
+
+
+def test_placement_refuses_past_the_time_limit(monkeypatch):
+    sc = generate_synthetic(seed=1, n_users=3, n_bs=2, n_cns=2)
+    monkeypatch.setattr(oracle, "TIME_LIMIT_S", 0)
+    with pytest.raises(OracleRefusal, match="0 s time limit on .* variables and .* rows") as exc:
+        exact_stage2(sc, vexa(sc))
+    assert exc.value.estimate is None
+
+
+def test_placement_refuses_without_scipy(monkeypatch):
+    sc = generate_synthetic(seed=1, n_users=3, n_bs=2, n_cns=2)
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)  # unimportable
+    with pytest.raises(OracleRefusal, match="needs scipy") as exc:
+        exact_stage2(sc, vexa(sc))
+    assert exc.value.estimate is None
+
+
+def test_placement_model_matches_the_brute_force_reference():
+    # the three 3-user default cities, golden_tiny's city and a forced split
+    cities = [generate_synthetic(seed=s, n_users=3, n_bs=2, n_cns=2) for s in (1, 2, 3)]
+    for sc in [*cities, tiny_scenario(seed=0), split_scenario()]:
+        s1 = vexa(sc)
+        sol, cost = exact_stage2(sc, s1)
+        _, best = scalar_oracle.exact_stage2(sc, s1)
+        assert cost == pytest.approx(best, rel=1e-9, abs=0.0)
+        assert verify_stage2(sol, sc, s1) == []
+        assert total_cost(sol, sc, s1).total == pytest.approx(cost)
+
+
+def test_gepar_gap_at_paper_scale():
+    # 250 users on the paper's 10-cell, 13-node city: gepar pays 1.606x
+    sc = generate_synthetic(seed=5, n_users=250, n_bs=10, n_cns=13)
+    s1 = vexa(sc)
+    sol, best = exact_stage2(sc, s1)
+    assert verify_stage2(sol, sc, s1) == []
+    placed = gepar(sc, s1)
+    assert placed.unplaced == frozenset()
+    assert best <= total_cost(placed, sc, s1).total <= 1.61 * best
 
 
 def test_placement_picks_the_only_reachable_node():
@@ -136,6 +191,12 @@ def test_placement_raises_when_nothing_fits():
     assert s1.admitted == frozenset({"u0"})
     with pytest.raises(ValueError, match="no feasible placement"):
         exact_stage2(sc, s1)
+    # and when no route meets the deadline: stage 1 solved at one frame
+    # period, placed against 1 us, leaves a user with no candidate node
+    sc = tiny_scenario(seed=0)
+    s1 = vexa(sc)
+    with pytest.raises(ValueError, match="no feasible placement"):
+        exact_stage2(replace(sc, radio=replace(sc.radio, deadline_s=1e-6)), s1)
 
 
 def test_gepar_stays_close_to_exact_cost():

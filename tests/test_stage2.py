@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_scenario, tiny_scenario
+from helpers import make_scenario, split_scenario, tiny_scenario
 from vrcgsim import metrics, stage2
 from vrcgsim.radio import buffer_latency_s
 from vrcgsim.scenario import ScenarioError, generate_synthetic
@@ -86,27 +86,6 @@ def test_cheap_far_node_beats_expensive_near_node():
     osol, ocost = exact_stage2(sc, s1)
     assert osol.placement == {"u0": "cn1"}
     assert total_cost(sol, sc, s1).total == pytest.approx(ocost)
-
-
-def split_scenario():
-    """One direct link too small for the stream, a longer detour with room."""
-    return make_scenario(
-        users=[{"id": "u0", "position": [1008.0, 1000.0], "game": "gq"}],
-        base_stations=[{"id": "bs0", "position": [1000.0, 1000.0]}],
-        compute_nodes=[
-            {"id": "cn0", "position": [1000.0, 1000.0]},
-            {"id": "cn1", "position": [2000.0, 1000.0], "tier": "regional",
-             "fixed_cost": 1e9},
-        ],
-        links=[
-            {"src": "cn0", "dst": "bs0", "capacity_bps": 12e6, "latency_s": 5e-5},
-            {"src": "bs0", "dst": "cn0", "capacity_bps": 12e6, "latency_s": 5e-5},
-            {"src": "cn0", "dst": "cn1", "capacity_bps": 40e9, "latency_s": 5e-4},
-            {"src": "cn1", "dst": "cn0", "capacity_bps": 40e9, "latency_s": 5e-4},
-            {"src": "cn1", "dst": "bs0", "capacity_bps": 40e9, "latency_s": 5e-4},
-            {"src": "bs0", "dst": "cn1", "capacity_bps": 40e9, "latency_s": 5e-4},
-        ],
-    )
 
 
 def test_link_capacity_forces_flow_split():
