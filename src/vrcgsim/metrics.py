@@ -13,6 +13,7 @@ import json
 import math
 import statistics
 import time
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -21,8 +22,7 @@ from .scenario import Scenario, step_positions
 from .stage1 import (
     Stage1Solution,
     Violation,
-    baseline_dual_connectivity,
-    baseline_single_association,
+    at_cap,
     grant_pool,
     qoe_stage1,
     verify_stage1,
@@ -79,10 +79,12 @@ class ExperimentAbort(RuntimeError):
         self.violations = violations
         self.reports = reports
         first = violations[0]
+        kinds = Counter(v.kind for v in violations)
         super().__init__(
             f"{method} failed verification at timestep {timestep} "
-            f"({len(violations)} violations; first: {first.kind} "
-            f"{first.subject}: {first.detail})"
+            f"({len(violations)} violations: "
+            f"{', '.join(f'{n} {kind}' for kind, n in kinds.items())}; "
+            f"first: {first.kind} {first.subject}: {first.detail})"
         )
 
 
@@ -198,11 +200,13 @@ class _Method:
 
 
 # The solvers are looked up by name when a lambda runs, so replacing one
-# on this module (as a test or tracer does) takes effect.
+# on this module (as a test or tracer does) takes effect. sa and dc are
+# vexa capped at one and two cells: at_cap reuses the pipeline's vexa
+# solution where it provably is theirs and solves them otherwise.
 _METHODS = {
     "vexa": _Method(1, lambda sc, s1, prev: s1, _stage1_row),  # solved for the pipeline
-    "sa": _Method(1, lambda sc, s1, prev: baseline_single_association(sc), _stage1_row),
-    "dc": _Method(1, lambda sc, s1, prev: baseline_dual_connectivity(sc), _stage1_row),
+    "sa": _Method(1, lambda sc, s1, prev: at_cap(sc, s1, 1), _stage1_row),
+    "dc": _Method(1, lambda sc, s1, prev: at_cap(sc, s1, 2), _stage1_row),
     "oracle_stage1": _Method(1, lambda sc, s1, prev: oracle_mod.exact_stage1(sc)[0], _stage1_row),
     "gepar": _Method(2, lambda sc, s1, prev: gepar(sc, s1, prev), _stage2_row),
     "single_path": _Method(2, lambda sc, s1, prev: baseline_single_path(sc, s1, prev), _stage2_row),

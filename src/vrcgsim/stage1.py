@@ -500,6 +500,25 @@ def vexa(sc: Scenario, max_connections: int | None = None) -> Stage1Solution:
     return _upgrade(st)
 
 
+def at_cap(sc: Scenario, solution: Stage1Solution, max_connections: int) -> Stage1Solution:
+    """vexa(sc, max_connections=max_connections), given solution = vexa(sc).
+
+    solution is reused at the scenario's own cap, and below it when every
+    admitted user holds one cell. A pass at parts >= 2 commits only a user
+    on `parts` cells, a failed attempt commits nothing and the upgrade pass
+    never changes a user's cells, so the last placement of any later pass
+    would still be in solution. One holding only single-cell users thus
+    shows that passes 2 and up placed nobody: a capped run ends admission
+    on the same state after pass 1 and upgrades it alike. Any other cap is
+    solved by vexa. The result is a fresh solution with its own empty memo.
+    """
+    n = sc.radio.max_connections
+    if max_connections == n or (
+            1 <= max_connections < n and all(len(b) == 1 for b in solution.assoc.values())):
+        return replace(solution)
+    return vexa(sc, max_connections=max_connections)
+
+
 def baseline_single_association(sc: Scenario) -> Stage1Solution:
     """Every user limited to one serving cell."""
     return vexa(sc, max_connections=1)

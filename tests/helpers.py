@@ -1,6 +1,8 @@
 """Hand-built scenario configs for targeted solver tests."""
 import json
 
+from hypothesis import strategies as st
+
 from vrcgsim.scenario import generate_synthetic, load_scenario, scenario_to_json
 
 BIG = 1e15  # effectively unconstrained capacity
@@ -146,3 +148,22 @@ def split_scenario():
             {"src": "bs0", "dst": "cn1", "capacity_bps": 40e9, "latency_s": 5e-4},
         ],
     )
+
+
+def crowded_city(seed, n_users, n_bs, side, **overrides):
+    return generate_synthetic(seed=seed, n_users=n_users, n_bs=n_bs, n_cns=3,
+                              area_m=(side, side), overrides=overrides)
+
+
+# small cities where cells fill up, users are displaced and split across cells
+crowded_cities = st.builds(
+    crowded_city,
+    seed=st.integers(0, 10_000),
+    n_users=st.integers(20, 300),
+    n_bs=st.integers(1, 4),
+    side=st.sampled_from([400.0, 800.0]),
+    usable_prbs=st.integers(1, 3),
+    ttis_per_window=st.sampled_from([20, 200, 2000]),
+    deadline_s=st.sampled_from([None, 0.05]),
+    max_connections=st.integers(1, 3),
+)

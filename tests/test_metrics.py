@@ -117,6 +117,16 @@ def test_abort_carries_partial_reports(monkeypatch, method, verifier):
     assert "cooked" in str(exc.value)
 
 
+def test_abort_message_counts_each_kind():
+    from vrcgsim.stage1 import Violation
+
+    found = [Violation("deadline", "u3", "late"), Violation("pool", "bs0", "overdrawn"),
+             Violation("deadline", "u1", "later")]
+    assert str(ExperimentAbort(2, "dc", found, [])) == (
+        "dc failed verification at timestep 2 (3 violations: 2 deadline, 1 pool; "
+        "first: deadline u3: late)")
+
+
 def test_emit_empty_and_single_row():
     assert emit([], "csv") == ",".join(CSV_COLUMNS) + "\n"
     report = MetricsReport(

@@ -11,7 +11,9 @@ from vrcgsim.stage1 import (
     Stage1Solution,
     _Ctx,
     _State,
+    _offer_steps,
     _try_place,
+    _try_upgrade,
     baseline_dual_connectivity,
     baseline_single_association,
     grant_pool,
@@ -172,6 +174,31 @@ def test_contended_upgrade_goes_to_larger_utility():
     sol = vexa(sc)
     assert sol.resolution["u0"] == (1280, 1440)
     assert sol.resolution["u1"] == (960, 1080)
+    assert verify_stage1(sol, sc) == []
+
+
+@pytest.mark.parametrize("capacity,fps", [(179.0, 72), (180.0, 90)])
+def test_an_upgrade_past_the_queue_cap_is_refused(capacity, fps):
+    """The 90 fps step fits the pool; it is refused when it would take the
+    cell's frame arrivals past half its frame capacity, and only then."""
+    sc = make_scenario(
+        users=[{"id": "u0", "position": [1010.0, 1000.0], "game": "gp"}],
+        base_stations=[{"id": "bs0", "position": [1000.0, 1000.0],
+                        "frame_capacity_fps": capacity}],
+        headsets=[{"id": "h", "resolutions": [[960, 1080]], "frame_rates": [72, 90]}],
+        radio={"deadline_s": 0.05},
+    )
+    ctx = _Ctx(sc)
+    st = _State(ctx)
+    assert _try_place(ctx, st, "u0", 1) == []
+    offer = {}
+    _offer_steps(ctx, st, ["u0"], {"u0": ctx.ladder("u0", (960, 1080), 72)}, offer)
+    res, step_fps, (ask,) = offer["u0"]
+    assert step_fps == 90 and st.used["bs0"] - st.place["u0"]["bs0"] + ask <= ctx.pool["bs0"]
+    assert (_try_upgrade(ctx, st, "u0", offer["u0"]) is None) == (fps == 72)
+    assert st.fps["u0"] == fps
+    sol = vexa(sc)
+    assert sol.frame_rate["u0"] == fps
     assert verify_stage1(sol, sc) == []
 
 

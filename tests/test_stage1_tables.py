@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import scalar_stage1 as ref
-from helpers import make_scenario
+from helpers import crowded_cities, crowded_city, make_scenario
 from vrcgsim import stage1
 from vrcgsim.metrics import run_experiment
 from vrcgsim.radio import link_tables
@@ -32,24 +32,6 @@ from vrcgsim.stage1 import (
 
 SOLVERS = {"vexa": vexa, "sa": baseline_single_association, "dc": baseline_dual_connectivity}
 FIELDS = ("assoc", "prbs", "resolution", "frame_rate", "share")
-
-
-def crowded_city(seed, n_users, n_bs, side, **overrides):
-    return generate_synthetic(seed=seed, n_users=n_users, n_bs=n_bs, n_cns=3,
-                              area_m=(side, side), overrides=overrides)
-
-
-crowded_cities = st.builds(
-    crowded_city,
-    seed=st.integers(0, 10_000),
-    n_users=st.integers(20, 300),
-    n_bs=st.integers(1, 4),
-    side=st.sampled_from([400.0, 800.0]),
-    usable_prbs=st.integers(1, 3),
-    ttis_per_window=st.sampled_from([20, 200, 2000]),
-    deadline_s=st.sampled_from([None, 0.05]),
-    max_connections=st.integers(1, 3),
-)
 
 
 def exact(sol: Stage1Solution):

@@ -4,7 +4,8 @@ Runs the tier-1 suite in this process under a `sys.settrace` line tracer
 that follows only the frames of `src/vrcgsim`, then prints, for each of
 its modules, the executable lines that no test executed, and the total.
 Each such line is to be tested or deleted. Tests that run the library in
-a subprocess do not count. A run takes a few minutes; arguments, if any,
+a subprocess do not count. Hypothesis draws from a fixed seed, so runs of
+one tree give one count. A run takes a few minutes; arguments, if any,
 go to pytest in place of the tests directory.
 
     python tests/unreached.py
@@ -64,7 +65,7 @@ def run_traced(args: list[str]) -> tuple[int, set[tuple[str, int]]]:
     sys.settrace(call)
     try:
         code = pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
-                            *(args or [str(ROOT / "tests")])])
+                            "--hypothesis-seed=0", *(args or [str(ROOT / "tests")])])
     finally:
         sys.settrace(None)
     return int(code), {(ours[name], n) for name, n in reached}
