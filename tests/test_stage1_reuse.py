@@ -68,24 +68,17 @@ def test_at_cap_is_vexa_at_that_cap(sc):
         assert got is not full and got._memo == {}
 
 
-def test_the_crowded_city_reuses(vexa_calls):
-    sc = golden_city(**CROWDED)
+@pytest.mark.parametrize("city,solved", [(CROWDED, []), (SPLIT, [1, 2])])
+def test_at_cap_solves_only_below_a_split(vexa_calls, city, solved):
+    """The crowded city reuses at every cap; the split city, whose cap is 3,
+    reuses there and solves at 1 and 2, where its answer differs."""
+    sc = golden_city(**city)
     full = vexa(sc)
-    assert all(len(cells) == 1 for cells in full.assoc.values())
-    for cap in (1, 2, 3):
-        assert at_cap(sc, full, cap) == full
-    assert vexa_calls == []
-
-
-def test_the_split_city_solves(vexa_calls):
-    sc = golden_city(**SPLIT)
-    full = vexa(sc)
-    assert any(len(cells) == 2 for cells in full.assoc.values())
-    assert at_cap(sc, full, 3) == full
-    for cap in (1, 2):
-        assert at_cap(sc, full, cap) == vexa(sc, max_connections=cap)
-    assert vexa_calls == [1, 2]
-    assert at_cap(sc, full, 1) != full
+    assert any(len(cells) > 1 for cells in full.assoc.values()) == bool(solved)
+    got = [at_cap(sc, full, cap) for cap in (1, 2, 3)]
+    assert vexa_calls == solved
+    assert got == [vexa(sc, max_connections=cap) for cap in (1, 2, 3)]
+    assert (got[0] == full) == (not solved)
 
 
 @pytest.mark.parametrize("city,solves", [(CROWDED, 1), (SPLIT, 3)])
